@@ -236,41 +236,20 @@ def figure11_overall_efficiency(harness: ExperimentHarness | None = None,
 # Figure 12 — overall vs exchange efficiency across architectures
 # ---------------------------------------------------------------------------
 
-#: Group count of Figure 12's hierarchical-collective what-if column: two
-#: groups per node-set, the smallest hierarchy that exercises the
-#: leader-to-leader hop (the gate in ``benchmarks/bench_backend_scaling.py``
-#: measures a real hier run at the same G).
-FIG12_HIER_GROUPS = 2
-
-
 def figure12_exchange_efficiency(harness: ExperimentHarness | None = None,
                                  nodes: tuple[int, ...] = SCALING_NODES
                                  ) -> list[dict[str, object]]:
-    """Figure 12: overall (solid) and exchange (dashed) efficiency per platform.
-
-    Each row also carries a flat-vs-hier exchange column: the same measured
-    run projected under a grouped topology (``with_groups``), i.e. the
-    exchange time the hierarchical collectives' per-call latency term
-    predicts for this traffic — ``hier_exchange_speedup`` > 1 means the
-    model expects the two-level exchange to win at that scale (see
-    ``docs/topology.md``).
-    """
+    """Figure 12: overall (solid) and exchange (dashed) efficiency per platform."""
     harness = harness or default_harness()
     runs = harness.scaling_runs("ecoli30x", "one-seed", nodes)
     rows: list[dict[str, object]] = []
     for platform in PLATFORM_KEYS:
         overall_times: dict[int, float] = {}
         exchange_times: dict[int, float] = {}
-        hier_exchange_times: dict[int, float] = {}
         for n_nodes, result in runs.items():
             projection = harness.project(result, platform, workload="ecoli30x")
             overall_times[n_nodes] = projection.total_seconds
             exchange_times[n_nodes] = max(projection.total_exchange_seconds, 1e-12)
-            grouped = result.topology.with_groups(
-                min(FIG12_HIER_GROUPS, result.topology.n_ranks))
-            hier = harness.project(result, platform, workload="ecoli30x",
-                                   topology=grouped)
-            hier_exchange_times[n_nodes] = max(hier.total_exchange_seconds, 1e-12)
         overall_eff = efficiency_series(overall_times)
         exchange_eff = efficiency_series(exchange_times)
         for n_nodes in sorted(overall_times):
@@ -281,10 +260,6 @@ def figure12_exchange_efficiency(harness: ExperimentHarness | None = None,
                     "nodes": n_nodes,
                     "overall_efficiency": overall_eff[n_nodes],
                     "exchange_efficiency": exchange_eff[n_nodes],
-                    "exchange_seconds_flat": exchange_times[n_nodes],
-                    "exchange_seconds_hier": hier_exchange_times[n_nodes],
-                    "hier_exchange_speedup": (
-                        exchange_times[n_nodes] / hier_exchange_times[n_nodes]),
                 }
             )
     return rows

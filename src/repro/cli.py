@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro.bench import experiments as exp
@@ -68,12 +69,75 @@ _EXPERIMENTS = {
 }
 
 
+def _pipeline_parent() -> argparse.ArgumentParser:
+    """The flags every pipeline subcommand (run, serve, query) shares.
+
+    :func:`_shared_config` folds them into a :class:`PipelineConfig`; an
+    omitted flag keeps the config default, which honours the matching
+    ``DIBELLA_*`` environment variable.
+    """
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("-k", type=int, default=17, help="k-mer length")
+    shared.add_argument("--nodes", type=int, default=1, help="simulated node count")
+    shared.add_argument("--ranks-per-node", type=int, default=2)
+    shared.add_argument("--backend", choices=["thread", "process"], default=None,
+                        help="SPMD runtime backend: threads (default) or one "
+                             "process per rank exchanging typed buffers via "
+                             "shared memory (DIBELLA_BACKEND has the same effect)")
+    shared.add_argument("--seed-mode", choices=["reliable", "minimizer"], default=None,
+                        help="seeding front-end of stages 1-3: 'reliable' (the "
+                             "paper) exchanges every canonical k-mer; 'minimizer' "
+                             "keeps only the minimum-hash k-mer per window of "
+                             "--minimizer-window, cutting stage 1-3 wire bytes "
+                             "and table memory ~w/2-x at a small recall cost; an "
+                             "index build and its query batches sketch with the "
+                             "same (k, w) (DIBELLA_SEED_MODE has the same effect)")
+    shared.add_argument("--minimizer-window", type=int, default=None,
+                        help="minimizer window length w in k-mers (default 11; "
+                             "1 = keep every k-mer; ignored in reliable mode; "
+                             "DIBELLA_MINIMIZER_WINDOW has the same effect)")
+    shared.add_argument("--hash-shards", type=int, default=None,
+                        help="number of k-mer code-range shards the retained-k-mer "
+                             "table is built in; >1 streams the hash-table/overlap "
+                             "boundary one shard at a time, bounding peak table "
+                             "memory (default honours DIBELLA_HASH_SHARDS, else 4)")
+    shared.add_argument("--read-cache-mb", type=float, default=None,
+                        help="byte-capacity LRU bound (MiB) of each rank's "
+                             "alignment-stage read cache; 0 (the default) is "
+                             "unbounded (DIBELLA_READ_CACHE_MB has the same effect)")
+    shared.add_argument("--sanitize", action="store_true", default=None,
+                        help="arm the runtime sanitizer: cross-rank collective "
+                             "congruence checks, split-phase segment lifecycle "
+                             "guards and a hang watchdog (DIBELLA_SANITIZE=1 has "
+                             "the same effect; output is bit-identical)")
+    shared.add_argument("--fault-plan", default=None, metavar="PLAN",
+                        help="deterministic fault plan injected into the SPMD "
+                             "runs, e.g. 'kill:rank=2:step=3' (a serve session "
+                             "numbers its build run 0 and its batches from 1; "
+                             "grammar in docs/fault-tolerance.md; kill faults "
+                             "need --backend process; DIBELLA_FAULT_PLAN has "
+                             "the same effect)")
+    return shared
+
+
+def _source_parent() -> argparse.ArgumentParser:
+    """The input-selection flags of ``run`` and ``serve`` (see :func:`_load_reads`)."""
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--input", help="input FASTQ file (omit to use --preset)")
+    source.add_argument("--preset", choices=sorted(_PRESETS), default="tiny")
+    source.add_argument("--scale", type=float, default=0.01,
+                        help="genome scale factor for the E. coli presets")
+    return source
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dibella",
         description="diBELLA reproduction: distributed long-read overlap and alignment",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = _pipeline_parent()
+    source = _source_parent()
 
     sim = sub.add_parser("simulate", help="generate a synthetic data set as FASTQ")
     sim.add_argument("--preset", choices=sorted(_PRESETS), default="tiny")
@@ -81,44 +145,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="genome scale factor for the E. coli presets")
     sim.add_argument("--output", required=True, help="output FASTQ path")
 
-    run = sub.add_parser("run", help="run the overlap+alignment pipeline")
-    run.add_argument("--input", help="input FASTQ file (omit to use --preset)")
-    run.add_argument("--preset", choices=sorted(_PRESETS), default="tiny")
-    run.add_argument("--scale", type=float, default=0.01)
-    run.add_argument("-k", type=int, default=17, help="k-mer length")
-    run.add_argument("--nodes", type=int, default=1, help="simulated node count")
-    run.add_argument("--ranks-per-node", type=int, default=2)
+    run = sub.add_parser("run", parents=[source, shared],
+                         help="run the overlap+alignment pipeline")
     run.add_argument("--seed-strategy", choices=["one", "d1000", "dk"], default="one")
-    run.add_argument("--seed-mode", choices=["reliable", "minimizer"], default=None,
-                     help="seeding front-end of stages 1-3: 'reliable' (the "
-                          "paper) exchanges every canonical k-mer; 'minimizer' "
-                          "keeps only the minimum-hash k-mer per window of "
-                          "--minimizer-window, cutting stage 1-3 wire bytes "
-                          "and table memory ~w/2-x at a small recall cost "
-                          "(DIBELLA_SEED_MODE has the same effect)")
-    run.add_argument("--minimizer-window", type=int, default=None,
-                     help="minimizer window length w in k-mers (default 11; "
-                          "1 = keep every k-mer; ignored in reliable mode; "
-                          "DIBELLA_MINIMIZER_WINDOW has the same effect)")
-    run.add_argument("--backend", choices=["thread", "process"], default=None,
-                     help="SPMD runtime backend: threads (default) or one process "
-                          "per rank exchanging typed buffers via shared memory")
-    run.add_argument("--collective", choices=["flat", "hier"], default=None,
-                     help="all-to-all layout: 'flat' publishes one segment per "
-                          "rank pair (the paper's O(R^2) pattern); 'hier' runs "
-                          "gather-to-leader -> leader-to-leader -> scatter over "
-                          "rank groups, cutting cross-group segments to O(G^2) "
-                          "(see docs/topology.md; output is bit-identical; "
-                          "DIBELLA_COLLECTIVE has the same effect)")
-    run.add_argument("--rank-groups", type=int, default=None,
-                     help="rank-group count G of --collective hier; 0 (the "
-                          "default) auto-detects one group per physical CPU "
-                          "socket (DIBELLA_RANK_GROUPS has the same effect)")
-    run.add_argument("--pin-ranks", action="store_true", default=None,
-                     help="pin each process-backend rank worker to a core of "
-                          "its group via sched_setaffinity; graceful no-op "
-                          "where affinity is restricted (DIBELLA_PIN_RANKS=1 "
-                          "has the same effect)")
     run.add_argument("--exchange-chunk-mb", type=float, default=None,
                      help="per-rank wire budget (MiB) of each overlap-exchange "
                           "superstep; 0 disables chunking (one monolithic "
@@ -129,11 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "k-mer stages (the memory bound of the streaming "
                           "pipeline; DIBELLA_BATCH_READS has the same effect, "
                           "default 2048)")
-    run.add_argument("--sanitize", action="store_true", default=None,
-                     help="arm the runtime sanitizer: cross-rank collective "
-                          "congruence checks, split-phase segment lifecycle "
-                          "guards and a hang watchdog (DIBELLA_SANITIZE=1 has "
-                          "the same effect; output is bit-identical)")
     run.add_argument("--pool", action="store_true", default=None,
                      help="acquire ranks from the persistent rank pool (processes "
                           "parked on a barrier between runs; amortises startup and "
@@ -143,67 +167,20 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="disable double buffering of every stage's exchange "
                           "supersteps (bulk-synchronous schedule; output is "
                           "bit-identical either way)")
-    run.add_argument("--double-buffer-stages", default=None, metavar="STAGES",
-                     help="comma-separated stages to double-buffer (subset of "
-                          "bloom,hashtable,overlap,alignment); the rest run "
-                          "bulk-synchronous.  An empty value disables double "
-                          "buffering everywhere; omit the flag to apply the "
-                          "global setting uniformly "
-                          "(DIBELLA_DOUBLE_BUFFER_STAGES has the same effect)")
     run.add_argument("--align-batch-tasks", type=int, default=None,
                      help="alignment tasks per read-fetch superstep: batches "
                           "the stage-4 request/response rounds so batch i+1's "
                           "remote reads are in flight while batch i aligns; "
                           "0 (the default) fetches everything in one round "
                           "(DIBELLA_ALIGN_BATCH_TASKS has the same effect)")
-    run.add_argument("--no-wire-packing", action="store_true",
-                     help="ship alignment-stage read blocks as ASCII instead of "
-                          "2-bit packed (4 bases/byte); output is bit-identical "
-                          "either way (DIBELLA_WIRE_PACKING=0 has the same effect)")
-    run.add_argument("--hash-shards", type=int, default=None,
-                     help="number of k-mer code-range shards the retained-k-mer "
-                          "table is built in; >1 streams the hash-table/overlap "
-                          "boundary one shard at a time, bounding peak table "
-                          "memory (default honours DIBELLA_HASH_SHARDS, else 4)")
-    run.add_argument("--read-cache-mb", type=float, default=None,
-                     help="byte-capacity LRU bound (MiB) of each rank's "
-                          "alignment-stage read cache; 0 (the default) is "
-                          "unbounded (DIBELLA_READ_CACHE_MB has the same effect)")
-    run.add_argument("--fault-plan", default=None, metavar="PLAN",
-                     help="deterministic fault plan injected into the run, e.g. "
-                          "'kill:rank=2:step=3' (grammar in docs/fault-tolerance.md; "
-                          "kill faults need --backend process; "
-                          "DIBELLA_FAULT_PLAN has the same effect)")
     run.add_argument("--pool-stats", action="store_true",
                      help="print per-pool usage statistics (runs served, forks "
                           "amortised) after the run; only meaningful with --pool")
     run.add_argument("--overlaps-out", help="write detected overlaps to this TSV file")
 
     serve = sub.add_parser(
-        "serve", help="build a resident index, then serve repeated query batches")
-    serve.add_argument("--input", help="input FASTQ file (omit to use --preset)")
-    serve.add_argument("--preset", choices=sorted(_PRESETS), default="tiny")
-    serve.add_argument("--scale", type=float, default=0.01)
-    serve.add_argument("-k", type=int, default=17, help="k-mer length")
-    serve.add_argument("--nodes", type=int, default=1)
-    serve.add_argument("--ranks-per-node", type=int, default=2)
-    serve.add_argument("--backend", choices=["thread", "process"], default=None)
-    serve.add_argument("--collective", choices=["flat", "hier"], default=None,
-                       help="all-to-all layout for every build/query run "
-                            "(see docs/topology.md; DIBELLA_COLLECTIVE has "
-                            "the same effect)")
-    serve.add_argument("--rank-groups", type=int, default=None,
-                       help="rank-group count of --collective hier; 0 = auto "
-                            "(DIBELLA_RANK_GROUPS has the same effect)")
-    serve.add_argument("--pin-ranks", action="store_true", default=None,
-                       help="pin process-backend rank workers to their group's "
-                            "cores (DIBELLA_PIN_RANKS=1 has the same effect)")
-    serve.add_argument("--hash-shards", type=int, default=None)
-    serve.add_argument("--seed-mode", choices=["reliable", "minimizer"], default=None,
-                       help="seeding front-end; the index build and every "
-                            "query batch sketch with the same (k, w)")
-    serve.add_argument("--minimizer-window", type=int, default=None,
-                       help="minimizer window length w in k-mers (default 11)")
+        "serve", parents=[source, shared],
+        help="build a resident index, then serve repeated query batches")
     serve.add_argument("--pool", action="store_true", default=None,
                        help="force the persistent rank pool on (the service "
                             "already forces it for the process backend — index "
@@ -218,18 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="admission bound: queued submissions are coalesced "
                             "into batches of at most this many reads "
                             "(DIBELLA_SERVE_BATCH_READS has the same effect)")
-    serve.add_argument("--read-cache-mb", type=float, default=None,
-                       help="byte-capacity LRU bound (MiB) of each rank's read "
-                            "cache; 0 = unbounded (DIBELLA_READ_CACHE_MB has "
-                            "the same effect)")
-    serve.add_argument("--sanitize", action="store_true", default=None,
-                       help="arm the runtime sanitizer for every batch "
-                            "(DIBELLA_SANITIZE=1 has the same effect)")
-    serve.add_argument("--fault-plan", default=None, metavar="PLAN",
-                       help="deterministic fault plan injected into the session "
-                            "(build = run 0, first batch = run 1; grammar in "
-                            "docs/fault-tolerance.md; DIBELLA_FAULT_PLAN has "
-                            "the same effect)")
     serve.add_argument("--serve-max-retries", type=int, default=None,
                        help="retries of an index build or query batch whose "
                             "run died from a rank failure (default 2; 0 "
@@ -239,37 +204,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print per-pool usage statistics after the session")
 
     query = sub.add_parser(
-        "query", help="align one query batch against an index read set")
+        "query", parents=[shared],
+        help="align one query batch against an index read set")
     query.add_argument("--index", required=True, help="index FASTQ file")
     query.add_argument("--queries", required=True, help="query FASTQ file")
-    query.add_argument("-k", type=int, default=17, help="k-mer length")
-    query.add_argument("--nodes", type=int, default=1)
-    query.add_argument("--ranks-per-node", type=int, default=2)
-    query.add_argument("--backend", choices=["thread", "process"], default=None)
-    query.add_argument("--collective", choices=["flat", "hier"], default=None,
-                       help="all-to-all layout for the build and the batch "
-                            "(see docs/topology.md; DIBELLA_COLLECTIVE has "
-                            "the same effect)")
-    query.add_argument("--rank-groups", type=int, default=None,
-                       help="rank-group count of --collective hier; 0 = auto "
-                            "(DIBELLA_RANK_GROUPS has the same effect)")
-    query.add_argument("--pin-ranks", action="store_true", default=None,
-                       help="pin process-backend rank workers to their group's "
-                            "cores (DIBELLA_PIN_RANKS=1 has the same effect)")
-    query.add_argument("--hash-shards", type=int, default=None)
-    query.add_argument("--seed-mode", choices=["reliable", "minimizer"], default=None,
-                       help="seeding front-end; the index build and the query "
-                            "batch sketch with the same (k, w)")
-    query.add_argument("--minimizer-window", type=int, default=None,
-                       help="minimizer window length w in k-mers (default 11)")
-    query.add_argument("--read-cache-mb", type=float, default=None)
-    query.add_argument("--sanitize", action="store_true", default=None,
-                       help="arm the runtime sanitizer for the batch "
-                            "(DIBELLA_SANITIZE=1 has the same effect)")
-    query.add_argument("--fault-plan", default=None, metavar="PLAN",
-                       help="deterministic fault plan injected into the batch "
-                            "(grammar in docs/fault-tolerance.md; "
-                            "DIBELLA_FAULT_PLAN has the same effect)")
     query.add_argument("--serve-max-retries", type=int, default=None,
                        help="retries of a build/batch killed by a rank failure "
                             "(default 2; DIBELLA_SERVE_MAX_RETRIES has the "
@@ -282,19 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("platforms", help="print the Table 1 platform registry")
     return parser
-
-
-def _fold_collective_args(config: PipelineConfig,
-                          args: argparse.Namespace) -> PipelineConfig:
-    """Apply the shared collective-layout / placement flags to *config*."""
-    if getattr(args, "collective", None) is not None:
-        config = config.with_collective(args.collective)
-    if getattr(args, "rank_groups", None) is not None:
-        config = config.with_rank_groups(
-            args.rank_groups if args.rank_groups != 0 else None)
-    if getattr(args, "pin_ranks", None):
-        config = config.with_pin_ranks(True)
-    return config
 
 
 def _resolve_strategy(name: str, k: int) -> SeedStrategy:
@@ -336,59 +261,62 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    if args.input:
-        reads = read_fastq(args.input)
-        source = args.input
-    else:
-        factory = _PRESETS[args.preset]
-        spec = factory() if args.preset == "tiny" else factory(scale=args.scale)
-        reads = generate_dataset(spec).reads
-        source = spec.name
-    overrides = {}
-    if args.exchange_chunk_mb is not None:
-        # 0 disables chunking; negative values fall through to the config's
-        # validation error instead of silently disabling.  Omitting the flag
-        # honours DIBELLA_EXCHANGE_CHUNK_MB (else the 8 MiB default).
-        overrides["exchange_chunk_mb"] = (
-            args.exchange_chunk_mb if args.exchange_chunk_mb != 0 else None)
-    if args.batch_reads is not None:
-        overrides["batch_reads"] = args.batch_reads
-    if args.sanitize is not None:
-        overrides["sanitize"] = args.sanitize
-    config = PipelineConfig(
-        kmer=KmerSpec(k=args.k),
-        seed_strategy=_resolve_strategy(args.seed_strategy, args.k),
-        **overrides,
-    )
-    if args.no_double_buffer:
-        config = config.with_double_buffer(False)
-    if args.double_buffer_stages is not None:
-        stages = tuple(part.strip() for part in args.double_buffer_stages.split(",")
-                       if part.strip())
-        config = config.with_double_buffer_stages(stages)
-    if args.align_batch_tasks is not None:
-        config = config.with_alignment_batch_tasks(
-            args.align_batch_tasks if args.align_batch_tasks != 0 else None)
-    if args.no_wire_packing:
-        config = config.with_wire_packing(False)
+def _shared_config(args: argparse.Namespace) -> PipelineConfig:
+    """Fold the flags of :func:`_pipeline_parent` into a :class:`PipelineConfig`.
+
+    The backend is folded in before the fault plan, because kill-plan
+    validation depends on it (kill faults are rejected on the thread
+    backend).  ``--nodes`` / ``--ranks-per-node`` are the topology, not
+    config: see :func:`_topology`.
+    """
+    config = PipelineConfig(kmer=KmerSpec(k=args.k))
+    if args.backend is not None:
+        config = config.with_backend(args.backend)
+    if args.seed_mode is not None or args.minimizer_window is not None:
+        config = config.with_seed_mode(args.seed_mode or config.seed_mode,
+                                       args.minimizer_window)
     if args.hash_shards is not None:
         config = config.with_hash_table_shards(args.hash_shards)
     if args.read_cache_mb is not None:
         config = config.with_read_cache_mb(args.read_cache_mb)
-    if args.seed_mode is not None or args.minimizer_window is not None:
-        config = config.with_seed_mode(args.seed_mode or config.seed_mode,
-                                       args.minimizer_window)
-    config = _fold_collective_args(config, args)
+    if args.sanitize:
+        config = config.with_sanitize(True)
     if args.fault_plan is not None:
-        # Fold the backend override in first: kill-plan validation depends
-        # on it (kill faults are rejected on the thread backend).
-        if args.backend is not None:
-            config = config.with_backend(args.backend)
         config = config.with_fault_plan(args.fault_plan)
-    result = run_dibella(reads, config=config, n_nodes=args.nodes,
-                         ranks_per_node=args.ranks_per_node, backend=args.backend,
-                         pool=args.pool)
+    return config
+
+
+def _topology(args: argparse.Namespace) -> Topology:
+    """The simulated machine layout of the shared ``--nodes`` / ``--ranks-per-node``."""
+    return Topology(n_nodes=args.nodes, ranks_per_node=args.ranks_per_node)
+
+
+def _run_config(args: argparse.Namespace) -> PipelineConfig:
+    """The ``run`` subcommand's config: the shared flags plus the run-only knobs."""
+    config = replace(_shared_config(args),
+                     seed_strategy=_resolve_strategy(args.seed_strategy, args.k))
+    if args.exchange_chunk_mb is not None:
+        # 0 disables chunking; negative values fall through to the config's
+        # validation error instead of silently disabling.  Omitting the flag
+        # honours DIBELLA_EXCHANGE_CHUNK_MB (else the 8 MiB default).
+        config = replace(config, exchange_chunk_mb=(
+            args.exchange_chunk_mb if args.exchange_chunk_mb != 0 else None))
+    if args.batch_reads is not None:
+        config = replace(config, batch_reads=args.batch_reads)
+    if args.pool:
+        config = config.with_pool(True)
+    if args.no_double_buffer:
+        config = config.with_double_buffer(False)
+    if args.align_batch_tasks is not None:
+        config = config.with_alignment_batch_tasks(
+            args.align_batch_tasks if args.align_batch_tasks != 0 else None)
+    return config
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    reads, source = _load_reads(args)
+    result = run_dibella(reads, config=_run_config(args), n_nodes=args.nodes,
+                         ranks_per_node=args.ranks_per_node)
     print(f"input: {source} ({len(reads)} reads, {reads.total_bases} bases)")
     for key, value in result.summary().items():
         print(f"  {key}: {value}")
@@ -408,27 +336,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _serve_config(args: argparse.Namespace) -> PipelineConfig:
-    """Shared config assembly of the serve/query subcommands."""
-    config = PipelineConfig(kmer=KmerSpec(k=args.k))
-    if args.backend is not None:
-        config = config.with_backend(args.backend)
-    if args.hash_shards is not None:
-        config = config.with_hash_table_shards(args.hash_shards)
-    if args.read_cache_mb is not None:
-        config = config.with_read_cache_mb(args.read_cache_mb)
+    """The serve/query subcommands' config: the shared flags plus the service knobs."""
+    config = _shared_config(args)
     if getattr(args, "pool", None):
         config = config.with_pool(True)
     if getattr(args, "serve_batch_reads", None) is not None:
         config = config.with_serve_batch_reads(args.serve_batch_reads)
-    if args.seed_mode is not None or args.minimizer_window is not None:
-        config = config.with_seed_mode(args.seed_mode or config.seed_mode,
-                                       args.minimizer_window)
-    config = _fold_collective_args(config, args)
-    if getattr(args, "sanitize", None):
-        config = config.with_sanitize(True)
-    if getattr(args, "fault_plan", None) is not None:
-        config = config.with_fault_plan(args.fault_plan)
-    if getattr(args, "serve_max_retries", None) is not None:
+    if args.serve_max_retries is not None:
         config = config.with_serve_max_retries(args.serve_max_retries)
     return config
 
@@ -444,10 +358,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("serve: input leaves no query reads after the index slice",
               file=sys.stderr)
         return 2
-    config = _serve_config(args)
-    topology = Topology(n_nodes=args.nodes, ranks_per_node=args.ranks_per_node)
-    service = AlignmentService(reads.subset(range(n_index)), config=config,
-                               topology=topology)
+    service = AlignmentService(reads.subset(range(n_index)),
+                               config=_serve_config(args), topology=_topology(args))
 
     build = service.build()
     print(f"index: {source} reads 0..{n_index - 1} "
@@ -477,9 +389,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     index_reads = read_fastq(args.index)
     query_reads = read_fastq(args.queries)
-    config = _serve_config(args)
-    topology = Topology(n_nodes=args.nodes, ranks_per_node=args.ranks_per_node)
-    service = AlignmentService(index_reads, config=config, topology=topology)
+    service = AlignmentService(index_reads, config=_serve_config(args),
+                               topology=_topology(args))
     service.submit(list(query_reads))
     record = service.drain()[0]
     counters = record.result.counters

@@ -22,27 +22,12 @@ from repro.seq.kmer import KmerSpec
 from repro.seq.records import ReadSet
 
 
-#: The four stages whose exchanges run on the unified superstep scheduler
-#: (`repro.core.supersteps`), in pipeline order.  Mirrors
-#: ``repro.core.result.STAGE_NAMES`` (kept separate to avoid an import
-#: cycle: ``result`` imports this module).
-SUPERSTEP_STAGES: tuple[str, ...] = ("bloom", "hashtable", "overlap", "alignment")
-
-
 def _env_flag(name: str, default: bool) -> bool:
     """Parse a boolean environment knob (unset -> *default*)."""
     raw = os.environ.get(name)
     if raw is None:
         return default
     return raw.strip().lower() not in ("0", "", "false", "off", "no")
-
-
-def _env_stage_tuple(name: str) -> tuple[str, ...] | None:
-    """Parse a comma-separated stage list from the environment (unset -> None)."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
 def _env_optional_int(name: str) -> int | None:
@@ -145,21 +130,6 @@ class PipelineConfig:
         exchanges.  Scientific output is bit-identical either way; the
         default honours ``DIBELLA_DOUBLE_BUFFER`` (set to ``0`` to force the
         bulk-synchronous schedule everywhere).
-    double_buffer_stages:
-        Per-stage override of ``double_buffer``: when set, exactly the named
-        stages (a subset of :data:`SUPERSTEP_STAGES`) run double-buffered
-        and the rest run bulk-synchronous, regardless of the global flag.
-        ``None`` (the default) applies ``double_buffer`` uniformly.  The
-        default honours ``DIBELLA_DOUBLE_BUFFER_STAGES`` (comma-separated
-        stage names; an empty value means "no stage double-buffers").
-    wire_packing:
-        Ship the alignment-stage read blocks 2-bit packed (4 bases/byte, see
-        :mod:`repro.seq.packing` and ``docs/wire-format.md``) instead of
-        ASCII — roughly a 4x cut of that phase's exchange volume.  Scientific
-        output is bit-identical either way; the trace counters
-        ``read_payload_raw_bytes`` / ``read_payload_wire_bytes`` record the
-        saving.  The default honours ``DIBELLA_WIRE_PACKING`` (set to ``0``
-        to force the ASCII wire format; CLI ``--no-wire-packing``).
     hash_table_shards:
         Number of k-mer code-range shards the retained-k-mer table is built
         in.  With ``S > 1`` the hash-table/overlap boundary streams one
@@ -226,36 +196,6 @@ class PipelineConfig:
         recovery — the first :class:`~repro.mpisim.errors.RankFailedError`
         propagates.  The default honours ``DIBELLA_SERVE_MAX_RETRIES``
         (CLI ``--serve-max-retries``).
-    collective:
-        All-to-all collective layout (see ``docs/topology.md``).
-        ``"flat"`` (the paper's pattern) publishes one segment per
-        (source, destination) pair — O(R²) per superstep; ``"hier"``
-        partitions the ranks into groups, elects the lowest rank of each
-        group leader, and runs every ``alltoallv`` as gather-to-leader →
-        leader-to-leader cross-group exchange of concatenated
-        per-destination payloads → intra-group scatter, cutting the
-        cross-group segment count to O(G²).  Scientific output, counters
-        and traces of the logical exchange are bit-identical either way;
-        ``benchmarks/bench_backend_scaling.py`` gates the reduction.  The
-        default honours ``DIBELLA_COLLECTIVE`` (CLI ``--collective``).
-    rank_groups:
-        Number of rank groups G of the hierarchical collectives.  ``None``
-        (the default) auto-detects one group per physical CPU socket of
-        the schedulable cores (clamped to ``[1, n_ranks]``, see
-        :func:`repro.mpisim.topology.resolve_rank_groups`); an explicit
-        count wins over detection.  Ignored with ``collective="flat"``.
-        The default honours ``DIBELLA_RANK_GROUPS`` (CLI
-        ``--rank-groups``; ``0``/unset means auto).
-    pin_ranks:
-        Pin each process-backend rank worker to a CPU core of its group
-        via ``os.sched_setaffinity`` (map computed by
-        :func:`repro.mpisim.topology.assign_pin_cores`), so co-grouped
-        ranks share a socket and stay there.  A graceful no-op — counted
-        in ``rank_pins_skipped`` — where affinity is restricted
-        (cgroups, non-Linux) or the backend is ``"thread"`` (pinning the
-        thread would pin the whole interpreter).  Pooled workers keep
-        their pins across runs.  The default honours
-        ``DIBELLA_PIN_RANKS`` (CLI ``--pin-ranks``).
     """
 
     kmer: KmerSpec = field(default_factory=lambda: KmerSpec(k=17))
@@ -294,12 +234,6 @@ class PipelineConfig:
     double_buffer: bool = field(
         default_factory=lambda: _env_flag("DIBELLA_DOUBLE_BUFFER", True)
     )
-    double_buffer_stages: tuple[str, ...] | None = field(
-        default_factory=lambda: _env_stage_tuple("DIBELLA_DOUBLE_BUFFER_STAGES")
-    )
-    wire_packing: bool = field(
-        default_factory=lambda: _env_flag("DIBELLA_WIRE_PACKING", True)
-    )
     hash_table_shards: int = field(
         default_factory=lambda: int(os.environ.get("DIBELLA_HASH_SHARDS", "4"))
     )
@@ -321,15 +255,6 @@ class PipelineConfig:
     )
     serve_max_retries: int = field(
         default_factory=lambda: int(os.environ.get("DIBELLA_SERVE_MAX_RETRIES", "2"))
-    )
-    collective: str = field(
-        default_factory=lambda: os.environ.get("DIBELLA_COLLECTIVE", "flat")
-    )
-    rank_groups: int | None = field(
-        default_factory=lambda: _env_optional_int("DIBELLA_RANK_GROUPS")
-    )
-    pin_ranks: bool = field(
-        default_factory=lambda: _env_flag("DIBELLA_PIN_RANKS", False)
     )
 
     def __post_init__(self) -> None:
@@ -359,16 +284,6 @@ class PipelineConfig:
             raise ValueError("exchange_chunk_mb must be positive (or None to disable)")
         if self.hash_table_shards < 1:
             raise ValueError("hash_table_shards must be >= 1")
-        if self.double_buffer_stages is not None:
-            # Normalise list-like inputs to a tuple (the config is frozen).
-            object.__setattr__(self, "double_buffer_stages",
-                               tuple(self.double_buffer_stages))
-            unknown = set(self.double_buffer_stages) - set(SUPERSTEP_STAGES)
-            if unknown:
-                raise ValueError(
-                    f"unknown double_buffer_stages {sorted(unknown)}; "
-                    f"expected a subset of {SUPERSTEP_STAGES}"
-                )
         if self.alignment_batch_tasks is not None and self.alignment_batch_tasks < 1:
             raise ValueError(
                 "alignment_batch_tasks must be >= 1 (or None for one batch)")
@@ -378,10 +293,6 @@ class PipelineConfig:
             raise ValueError("read_cache_mb must be >= 0 (0 = unbounded)")
         if self.serve_max_retries < 0:
             raise ValueError("serve_max_retries must be >= 0 (0 = no recovery)")
-        if self.collective not in ("flat", "hier"):
-            raise ValueError(f"unknown collective layout {self.collective!r}")
-        if self.rank_groups is not None and self.rank_groups < 1:
-            raise ValueError("rank_groups must be >= 1 (or None for auto)")
         if self.fault_plan is not None:
             # Parse eagerly so a malformed plan fails at configuration time,
             # not at an arbitrary later spmd_run.
@@ -413,41 +324,11 @@ class PipelineConfig:
 
     def with_double_buffer(self, double_buffer: bool) -> "PipelineConfig":
         """Copy of this config with exchange double buffering on or off (all stages)."""
-        return replace(self, double_buffer=double_buffer, double_buffer_stages=None)
-
-    def with_double_buffer_stages(
-        self, stages: tuple[str, ...] | None
-    ) -> "PipelineConfig":
-        """Copy of this config double-buffering exactly *stages* (None = global flag)."""
-        return replace(self, double_buffer_stages=stages)
+        return replace(self, double_buffer=double_buffer)
 
     def with_alignment_batch_tasks(self, batch: int | None) -> "PipelineConfig":
         """Copy of this config fetching/aligning *batch* tasks per superstep."""
         return replace(self, alignment_batch_tasks=batch)
-
-    def stage_double_buffer(self, stage: str) -> bool:
-        """Whether *stage*'s exchange supersteps run double-buffered.
-
-        Parameters
-        ----------
-        stage:
-            One of :data:`SUPERSTEP_STAGES`.
-
-        Returns
-        -------
-        bool
-            The per-stage override when ``double_buffer_stages`` is set,
-            otherwise the global ``double_buffer`` flag.
-        """
-        if stage not in SUPERSTEP_STAGES:
-            raise ValueError(f"unknown superstep stage {stage!r}")
-        if self.double_buffer_stages is not None:
-            return stage in self.double_buffer_stages
-        return bool(self.double_buffer)
-
-    def with_wire_packing(self, wire_packing: bool) -> "PipelineConfig":
-        """Copy of this config with 2-bit read-block wire packing on or off."""
-        return replace(self, wire_packing=wire_packing)
 
     def with_hash_table_shards(self, hash_table_shards: int) -> "PipelineConfig":
         """Copy of this config building the k-mer table in *hash_table_shards* code ranges."""
@@ -504,18 +385,6 @@ class PipelineConfig:
     def with_serve_max_retries(self, serve_max_retries: int) -> "PipelineConfig":
         """Copy of this config retrying failed serve runs *serve_max_retries* times."""
         return replace(self, serve_max_retries=serve_max_retries)
-
-    def with_collective(self, collective: str) -> "PipelineConfig":
-        """Copy of this config on a different collective layout ("flat"/"hier")."""
-        return replace(self, collective=collective)
-
-    def with_rank_groups(self, rank_groups: int | None) -> "PipelineConfig":
-        """Copy of this config with *rank_groups* groups (None = auto-detect)."""
-        return replace(self, rank_groups=rank_groups)
-
-    def with_pin_ranks(self, pin_ranks: bool) -> "PipelineConfig":
-        """Copy of this config with process-worker core pinning on or off."""
-        return replace(self, pin_ranks=pin_ranks)
 
     def with_seed_strategy(self, strategy: SeedStrategy) -> "PipelineConfig":
         """Copy of this config with a different seed strategy (bench helper)."""

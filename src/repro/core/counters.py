@@ -71,7 +71,6 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "remote_reads_fetched": "read sequences fetched from remote owner ranks",
     "read_payload_raw_bytes": "ASCII-equivalent bytes of the served read payloads",
     "read_payload_wire_bytes": "bytes of read payloads that actually crossed the exchange",
-    "alignment_wire_packing": "1 if read payloads shipped 2-bit packed, 0 for ASCII",
     "alignment_fetch_rounds": "fetch supersteps the alignment stage used",
     # -- per-rank read cache (ReadCache.counters) ---------------------------
     "read_cache_hits": "alignment read-cache hits (sequence already resident)",
@@ -103,13 +102,6 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "alignment_steps_overlapped": "alignment fetch rounds whose compute overlapped a peer's exchange",
     "query_route_double_buffered": "1 if the query-routing exchange ran split-phase double-buffered",
     "query_route_steps_overlapped": "query-routing supersteps whose compute overlapped a peer's exchange",
-    # -- collective layout / rank placement (see SCHEDULE_FLAG_COUNTERS) ----
-    "collective_groups": "rank groups the hierarchical collectives ran with (absent on flat runs)",
-    "intragroup_bytes": "logical exchange bytes addressed to a destination in the sender's own group",
-    "intergroup_bytes": "logical exchange bytes addressed across group boundaries",
-    "leader_aggregation_seconds": "wall seconds leaders spent concatenating/splitting member payloads (ceil, >=1 per leader)",
-    "ranks_pinned": "rank workers successfully pinned to a core via sched_setaffinity",
-    "rank_pins_skipped": "rank pin attempts skipped (thread backend, restricted affinity, non-Linux)",
     # -- rank-failure recovery (see RECOVERY_COUNTERS) ----------------------
     "rank_failures_detected": "dead rank processes detected by the runtime during this call",
     "pool_respawns": "pool worker processes respawned after a failure eviction",
@@ -121,10 +113,9 @@ PIPELINE_COUNTERS: dict[str, str] = {
 REGISTERED_COUNTERS: frozenset[str] = frozenset(PIPELINE_COUNTERS)
 
 #: Counters that describe the *schedule* rather than the science: they
-#: legitimately differ between double-buffered and bulk-synchronous runs —
-#: or between flat and hierarchical collective layouts — of the same input,
-#: so cross-schedule parity comparisons exclude exactly this set (and
-#: nothing else).
+#: legitimately differ between double-buffered and bulk-synchronous runs of
+#: the same input, so cross-schedule parity comparisons exclude exactly this
+#: set (and nothing else).
 SCHEDULE_FLAG_COUNTERS: frozenset[str] = frozenset({
     "bloom_exchange_double_buffered",
     "bloom_steps_overlapped",
@@ -136,12 +127,6 @@ SCHEDULE_FLAG_COUNTERS: frozenset[str] = frozenset({
     "alignment_steps_overlapped",
     "query_route_double_buffered",
     "query_route_steps_overlapped",
-    "collective_groups",
-    "intragroup_bytes",
-    "intergroup_bytes",
-    "leader_aggregation_seconds",
-    "ranks_pinned",
-    "rank_pins_skipped",
 })
 
 #: Counters that describe *recovery from injected or real rank failures*

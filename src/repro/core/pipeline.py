@@ -18,7 +18,7 @@ from repro.core.stages import (
 from repro.io.partition import partition_reads
 from repro.mpisim.faults import FaultPlan, RunFaults
 from repro.mpisim.runtime import spmd_run
-from repro.mpisim.topology import Topology, assign_pin_cores, resolve_rank_groups
+from repro.mpisim.topology import Topology
 from repro.mpisim.tracing import CommTrace
 from repro.seq.records import ReadSet
 
@@ -98,26 +98,6 @@ class DibellaPipeline:
             return None
         return self._fault_plan.bind_next_run()
 
-    def _run_topology(self) -> Topology:
-        """The topology SPMD runs actually launch with.
-
-        With ``collective="hier"`` the configured topology gains a rank→group
-        map (explicit ``rank_groups``, else one group per detected physical
-        socket — see :func:`~repro.mpisim.topology.resolve_rank_groups`);
-        with ``pin_ranks`` on the process backend it gains a rank→core pin
-        map placing each group on its own core slice.  The flat engine and
-        thread-backend runs keep the topology untouched, so existing
-        behaviour is bit-for-bit unchanged.
-        """
-        topology = self.topology
-        config = self.config
-        if config.collective == "hier":
-            n_groups = resolve_rank_groups(config.rank_groups, topology.n_ranks)
-            topology = topology.with_groups(n_groups)
-        if config.pin_ranks and config.backend == "process":
-            topology = topology.with_pin_cores(assign_pin_cores(topology))
-        return topology
-
     def invalidate_resident_state(self) -> None:
         """Drop parent-process resident registries after a failed SPMD run.
 
@@ -136,7 +116,7 @@ class DibellaPipeline:
         if len(readset) == 0:
             raise ValueError("cannot run the pipeline on an empty read set")
         config = self.config
-        topology = self._run_topology()
+        topology = self.topology
         n_ranks = topology.n_ranks
 
         assignments = partition_reads(readset, n_ranks, strategy=config.partition_strategy)
@@ -175,7 +155,6 @@ class DibellaPipeline:
         counters["input_kmers"] = counters.get("kmers_parsed", 0)
         counters["high_freq_threshold"] = high_freq_threshold
         self._record_sketch_density(counters)
-        self._record_collective_groups(counters, topology)
 
         return PipelineResult(
             config=config,
@@ -220,7 +199,7 @@ class DibellaPipeline:
         if len(readset) == 0:
             raise ValueError("cannot build an index from an empty read set")
         config = self.config
-        topology = self._run_topology()
+        topology = self.topology
         n_ranks = topology.n_ranks
 
         assignments = partition_reads(readset, n_ranks, strategy=config.partition_strategy)
@@ -257,7 +236,6 @@ class DibellaPipeline:
         counters = self._aggregate_counters(reports)
         counters["high_freq_threshold"] = high_freq_threshold
         self._record_sketch_density(counters)
-        self._record_collective_groups(counters, topology)
 
         return PipelineResult(
             config=config,
@@ -294,7 +272,7 @@ class DibellaPipeline:
         if len(query_reads) == 0:
             raise ValueError("cannot serve an empty query batch")
         config = self.config
-        topology = self._run_topology()
+        topology = self.topology
         n_ranks = topology.n_ranks
         index_readset = self._index_readset
         n_index_reads = len(index_readset)
@@ -346,7 +324,6 @@ class DibellaPipeline:
         counters["high_freq_threshold"] = high_freq_threshold
         counters["query_reads"] = len(query_reads)
         self._record_sketch_density(counters)
-        self._record_collective_groups(counters, topology)
 
         return PipelineResult(
             config=config,
@@ -401,18 +378,6 @@ class DibellaPipeline:
                 # counters; keys are checked at their write sites.
                 counters[key] = counters.get(key, 0) + int(value)
         return counters
-
-    @staticmethod
-    def _record_collective_groups(counters: dict[str, int],
-                                  topology: Topology) -> None:
-        """Record the group count a hierarchical run actually used.
-
-        Written only when the run topology carries a group map, so flat
-        runs have no ``collective_groups`` key at all — the counter is a
-        schedule flag (excluded from cross-layout parity), not science.
-        """
-        if topology.groups is not None:
-            counters["collective_groups"] = topology.n_groups
 
     @staticmethod
     def _seed_mode_tag(config: PipelineConfig) -> str:

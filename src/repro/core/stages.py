@@ -23,7 +23,6 @@ Table 1 platforms.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -238,9 +237,9 @@ def bloom_filter_stage(comm: SimCommunicator, state: _RankState) -> None:
     record exactly that saving; both are pure functions of the batch layout,
     so they are bit-identical across backends and schedules.
 
-    With double buffering (``config.stage_double_buffer("bloom")``), batch
-    ``i+1``'s bucketing is performed — and published — while the peers are
-    still reading batch ``i``'s k-mers.
+    With double buffering (``config.double_buffer``), batch ``i+1``'s
+    bucketing is performed — and published — while the peers are still
+    reading batch ``i``'s k-mers.
 
     Parameters
     ----------
@@ -318,7 +317,7 @@ def bloom_filter_stage(comm: SimCommunicator, state: _RankState) -> None:
 
     schedule = SuperstepSchedule(
         comm, timer, len(batches),
-        double_buffer=config.stage_double_buffer("bloom"), label="bloom",
+        double_buffer=config.double_buffer, label="bloom",
     )
     outcome = schedule.run(produce, consume)
 
@@ -362,9 +361,9 @@ def hash_table_stage(comm: SimCommunicator, state: _RankState) -> None:
     The stage streams its batches through the superstep schedule: each step
     extracts and packs one batch of local reads and ships the (k-mer,
     packed-metadata) pairs to their owners.  With double buffering
-    (``config.stage_double_buffer("hashtable")``), batch ``i+1``'s
-    extraction — the stage's dominant compute — runs while the peers are
-    still reading batch ``i``'s occurrences.
+    (``config.double_buffer``), batch ``i+1``'s extraction — the stage's
+    dominant compute — runs while the peers are still reading batch ``i``'s
+    occurrences.
 
     The finalisation itself — grouping the buffered occurrences into the
     retained table — is *deferred*: it runs one k-mer **code-range shard**
@@ -436,7 +435,7 @@ def hash_table_stage(comm: SimCommunicator, state: _RankState) -> None:
 
     schedule = SuperstepSchedule(
         comm, timer, len(batches),
-        double_buffer=config.stage_double_buffer("hashtable"), label="hashtable",
+        double_buffer=config.double_buffer, label="hashtable",
     )
     outcome = schedule.run(produce, consume)
 
@@ -478,8 +477,8 @@ def overlap_stage(comm: SimCommunicator, state: _RankState) -> None:
     ``alltoallv`` and is traced per chunk, so the cost model sees the same
     total volume plus the true call count.
 
-    With ``config.stage_double_buffer("overlap")`` (the default) the
-    supersteps are **double-buffered**: chunk ``i``'s exchange is split into
+    With ``config.double_buffer`` (the default) the supersteps are
+    **double-buffered**: chunk ``i``'s exchange is split into
     ``alltoallv_start``/``alltoallv_finish``, and chunk ``i+1`` is generated
     — and published — between the two, while the peers are still reading
     chunk ``i``'s segments.  The generation time spent with an exchange in
@@ -496,7 +495,7 @@ def overlap_stage(comm: SimCommunicator, state: _RankState) -> None:
     assert state.hashtable_built, "hash_table_stage must run before overlap_stage"
 
     n_shards = config.hash_table_shards
-    double_buffer = config.stage_double_buffer("overlap")
+    double_buffer = config.double_buffer
     shard_iter = state.hashtable.finalize_shards(
         shard_code_boundaries(config.kmer.k, n_shards),
         min_count=config.min_kmer_count, max_count=state.high_freq_threshold,
@@ -619,9 +618,9 @@ def overlap_stage(comm: SimCommunicator, state: _RankState) -> None:
 # ---------------------------------------------------------------------------
 
 def _build_read_block(
-    rids: np.ndarray, readset: ReadSet, cache: ReadCache, wire_packing: bool
-) -> PackedReadBlock | tuple[np.ndarray, np.ndarray, bytes]:
-    """Serve the requested reads as one typed wire block.
+    rids: np.ndarray, readset: ReadSet, cache: ReadCache
+) -> PackedReadBlock:
+    """Serve the requested reads as one 2-bit packed wire block.
 
     Parameters
     ----------
@@ -630,56 +629,39 @@ def _build_read_block(
     readset:
         The rank's read set (the source of truth for sequences).
     cache:
-        The rank's read cache.  On the packed path the served reads are
-        routed through it so their 2-bit encodings are computed at most once
-        — repeated serves (and pooled reruns) pack straight from the
-        memoised buffers.
-    wire_packing:
-        True → a :class:`~repro.seq.packing.PackedReadBlock` (2 bits/base,
-        lengths in the typed header); False → the ASCII block
-        ``(rids, offsets, bytes)``.
+        The rank's read cache.  The served reads are routed through it so
+        their 2-bit encodings are computed at most once — repeated serves
+        (and pooled reruns) pack straight from the memoised buffers.
 
-    Both layouts are flat typed buffers, so the payload crosses the typed
-    collectives protocol (and a real network) without per-read envelopes;
-    see ``docs/wire-format.md``.
+    The block is a :class:`~repro.seq.packing.PackedReadBlock` (2 bits/base,
+    lengths in the typed header): flat typed buffers, so the payload crosses
+    the typed collectives protocol (and a real network) without per-read
+    envelopes; see ``docs/wire-format.md``.
     """
     rids = np.asarray(rids, dtype=np.int64)
-    if wire_packing:
-        # Put-if-absent: served reads are this rank's own immutable local
-        # reads, so an existing entry is always current.  The stored string
-        # is a reference to the readset's resident sequence; the memoised
-        # code array (1 byte/base) is the buffer repeat serves reuse.
-        code_arrays = []
-        for rid in rids.tolist():
-            if rid not in cache:
-                cache.put(rid, readset[rid].sequence)
-            code_arrays.append(cache.encoded_peek(rid))
-        return pack_read_block(rids, code_arrays)
-    sequences = [readset[int(rid)].sequence for rid in rids]
-    lengths = np.fromiter((len(s) for s in sequences), dtype=np.int64, count=len(sequences))
-    offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
-    return rids, offsets, "".join(sequences).encode("ascii")
+    # Put-if-absent: served reads are this rank's own immutable local reads,
+    # so an existing entry is always current.  The stored string is a
+    # reference to the readset's resident sequence; the memoised code array
+    # (1 byte/base) is the buffer repeat serves reuse.
+    code_arrays = []
+    for rid in rids.tolist():
+        if rid not in cache:
+            cache.put(rid, readset[rid].sequence)
+        code_arrays.append(cache.encoded_peek(rid))
+    return pack_read_block(rids, code_arrays)
 
 
-def _read_block_payload_bytes(
-    block: PackedReadBlock | tuple[np.ndarray, np.ndarray, bytes],
-) -> tuple[int, int]:
+def _read_block_payload_bytes(block: PackedReadBlock) -> tuple[int, int]:
     """(ASCII-equivalent bytes, actual wire payload bytes) of one read block.
 
-    The sequence payload only — headers (RIDs, offsets/lengths) are excluded
-    from both numbers, so the pair isolates exactly what the 2-bit packing
+    The sequence payload only — headers (RIDs, lengths) are excluded from
+    both numbers, so the pair isolates exactly what the 2-bit packing
     compresses.
     """
-    if isinstance(block, PackedReadBlock):
-        return block.raw_nbytes, int(block.packed.nbytes)
-    _rids, _offsets, blob = block
-    return len(blob), len(blob)
+    return block.raw_nbytes, int(block.packed.nbytes)
 
 
-def _unpack_read_block(
-    block: PackedReadBlock | tuple[np.ndarray, np.ndarray, bytes],
-    cache: ReadCache,
-) -> int:
+def _unpack_read_block(block: PackedReadBlock, cache: ReadCache) -> int:
     """Insert a received read block into the per-rank read cache.
 
     Packed blocks are inserted **without decoding**: each read's packed
@@ -688,17 +670,9 @@ def _unpack_read_block(
     read — the ASCII string is never materialised unless a string-consuming
     kernel asks for it.
     """
-    if isinstance(block, PackedReadBlock):
-        for index, rid in enumerate(block.rids.tolist()):
-            cache.put_packed(rid, block.packed_slice(index), int(block.lengths[index]))
-        return block.n_reads
-    rids, offsets, blob = block
-    text = bytes(blob).decode("ascii")
-    rids = np.asarray(rids, dtype=np.int64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    for index, rid in enumerate(rids.tolist()):
-        cache.put(rid, text[offsets[index] : offsets[index + 1]])
-    return int(rids.size)
+    for index, rid in enumerate(block.rids.tolist()):
+        cache.put_packed(rid, block.packed_slice(index), int(block.lengths[index]))
+    return block.n_reads
 
 
 def _alignment_task_slices(n_tasks: int,
@@ -759,14 +733,12 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> BatchAligner:
     size and schedule.  The default (``None``) is the paper's original
     single request/response round.
 
-    With ``config.wire_packing`` (the default) the served blocks are
-    **2-bit packed** (4 bases/byte, :class:`PackedReadBlock`) — cutting the
-    phase's dominant payload ~4x — and the receive side inserts the packed
-    bytes into the cache *without decoding*; the ASCII fallback
-    (``--no-wire-packing`` / ``DIBELLA_WIRE_PACKING=0``) ships
-    ``(rids, offsets, bytes)`` exactly as before.  Both layouts are specified
-    in ``docs/wire-format.md``; the counters ``read_payload_raw_bytes`` /
-    ``read_payload_wire_bytes`` record the saving.
+    The served blocks are **2-bit packed** (4 bases/byte,
+    :class:`PackedReadBlock`) — cutting the phase's dominant payload ~4x —
+    and the receive side inserts the packed bytes into the cache *without
+    decoding*.  The layout is specified in ``docs/wire-format.md``; the
+    counters ``read_payload_raw_bytes`` / ``read_payload_wire_bytes`` record
+    the saving.
 
     Fetched sequences land in the rank's :class:`ReadCache`, which also
     memoises the 2-bit encodings the x-drop kernel consumes — repeated tasks
@@ -837,12 +809,11 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> BatchAligner:
 
     def respond(step: int, incoming_requests: list) -> list:
         # Serve requested read sequences back to each requesting rank as
-        # typed blocks: 2-bit packed (config.wire_packing, the default) or
-        # ASCII (rids, offsets, bytes).
+        # 2-bit packed typed blocks.
         nonlocal read_payload_raw, read_payload_wire
         blocks = [
             _build_read_block(np.asarray(incoming_requests[src], dtype=np.int64),
-                              state.readset, cache, config.wire_packing)
+                              state.readset, cache)
             for src in range(comm.size)
         ]
         for block in blocks:
@@ -868,7 +839,7 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> BatchAligner:
 
     schedule = SuperstepSchedule(
         comm, timer, len(task_slices),
-        double_buffer=config.stage_double_buffer("alignment"), label="alignment",
+        double_buffer=config.double_buffer, label="alignment",
         # Unbatched, every rank has exactly one (possibly empty) fetch round,
         # so the step count needs no agreement — and the stage's exchange
         # pattern stays byte-identical to the original two-round fetch.
@@ -900,10 +871,9 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> BatchAligner:
     state.counters["remote_reads_fetched"] = int(to_fetch.size)
     # Packed-vs-raw accounting of the served read payloads: ``raw`` is the
     # ASCII-equivalent byte count (one byte per base), ``wire`` what actually
-    # crossed the exchange — ~raw/4 with packing on, equal with it off.
+    # crossed the exchange (~raw/4).
     state.counters["read_payload_raw_bytes"] = read_payload_raw
     state.counters["read_payload_wire_bytes"] = read_payload_wire
-    state.counters["alignment_wire_packing"] = int(config.wire_packing)
     state.counters["alignment_fetch_rounds"] = outcome.n_supersteps
     state.counters["alignment_exchange_double_buffered"] = int(outcome.double_buffered)
     state.counters["alignment_steps_overlapped"] = outcome.steps_overlapped
@@ -922,57 +892,6 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> BatchAligner:
         spans_b[accepted],
     )
     return aligner
-
-
-# ---------------------------------------------------------------------------
-# Rank placement: core pinning + hierarchical-exchange accounting
-# ---------------------------------------------------------------------------
-
-def _apply_rank_pinning(comm: SimCommunicator, counters: dict[str, int]) -> None:
-    """Pin this rank's worker to its assigned core (graceful no-op).
-
-    Only acts when the run topology carries a pin map — the pipeline
-    attaches one only for ``pin_ranks`` on the **process** backend, where
-    each rank is its own process so ``os.sched_setaffinity`` binds exactly
-    one rank (pinning a thread-backend rank would pin the whole
-    interpreter).  A restricted cgroup mask or a platform without affinity
-    control counts ``rank_pins_skipped`` instead of failing the run.
-    Pooled workers keep the affinity across parked runs; the next pinned
-    run simply re-applies it.
-    """
-    pins = comm.topology.pin_cores
-    if pins is None:
-        return
-    try:
-        os.sched_setaffinity(0, {pins[comm.rank]})
-    except (AttributeError, OSError):
-        counters["rank_pins_skipped"] = counters.get("rank_pins_skipped", 0) + 1
-        return
-    counters["ranks_pinned"] = counters.get("ranks_pinned", 0) + 1
-
-
-def _fold_hier_counters(comm: SimCommunicator, counters: dict[str, int]) -> None:
-    """Fold the communicator's hierarchical-exchange stats into the report.
-
-    Only hierarchical runs (a topology with a group map) write these keys,
-    so flat runs' counter dicts are untouched.  The byte counters are exact
-    functions of the logical send lists (``payload_nbytes`` sums), hence
-    identical across backends, schedules and chunk sizes; the leader
-    aggregation time is wall clock, folded as its ceiling in whole seconds
-    so the aggregate stays deterministic — exactly 1 per group leader, 0 on
-    every other rank.
-    """
-    if comm.topology.groups is None:
-        return
-    stats = comm.hier_stats
-    counters["intragroup_bytes"] = (
-        counters.get("intragroup_bytes", 0) + int(stats["intragroup_bytes"]))
-    counters["intergroup_bytes"] = (
-        counters.get("intergroup_bytes", 0) + int(stats["intergroup_bytes"]))
-    if stats["leader_seconds"] > 0:
-        counters["leader_aggregation_seconds"] = (
-            counters.get("leader_aggregation_seconds", 0)
-            + int(np.ceil(stats["leader_seconds"])))
 
 
 # ---------------------------------------------------------------------------
@@ -1029,13 +948,11 @@ def run_rank_pipeline(
         high_freq_threshold=high_freq_threshold,
         read_cache=_acquire_read_cache(cache_tag, comm.rank),
     )
-    _apply_rank_pinning(comm, state.counters)
 
     bloom_filter_stage(comm, state)
     hash_table_stage(comm, state)
     overlap_stage(comm, state)
     alignment_stage(comm, state)
-    _fold_hier_counters(comm, state.counters)
 
     accepted = getattr(state, "_accepted")
     return RankReport(
@@ -1223,11 +1140,9 @@ def run_index_build(
         high_freq_threshold=high_freq_threshold,
         read_cache=_acquire_read_cache(cache_tag, comm.rank),
     )
-    _apply_rank_pinning(comm, state.counters)
     index = _index_hash_table(comm, state)
     _store_resident_index(index_tag, comm.rank, index)
     _index_report_counters(state, index)
-    _fold_hier_counters(comm, state.counters)
     return _empty_rank_report(comm, state)
 
 
@@ -1292,7 +1207,6 @@ def run_query_batch(
         high_freq_threshold=high_freq_threshold,
         read_cache=cache,
     )
-    _apply_rank_pinning(comm, state.counters)
 
     route_timer = state.timer("query_route")
     comm.set_phase("query_route_exchange")
@@ -1370,7 +1284,7 @@ def run_query_batch(
 
     route_schedule = SuperstepSchedule(
         comm, route_timer, len(batches),
-        double_buffer=config.stage_double_buffer("hashtable"), label="query_route",
+        double_buffer=config.double_buffer, label="query_route",
     )
     route_outcome = route_schedule.run(route_produce, route_consume)
 
@@ -1401,7 +1315,7 @@ def run_query_batch(
     # -- stage Q2: merged per-shard pair generation, cross pairs only -------
     timer = state.timer("overlap")
     comm.set_phase("overlap_exchange")
-    double_buffer = config.stage_double_buffer("overlap")
+    double_buffer = config.double_buffer
 
     pairs_generated = 0
     cross_pairs = 0
@@ -1502,7 +1416,6 @@ def run_query_batch(
 
     # -- stage Q3: the unmodified two-hop fetch + alignment -----------------
     alignment_stage(comm, state)
-    _fold_hier_counters(comm, state.counters)
 
     accepted = getattr(state, "_accepted")
     return RankReport(

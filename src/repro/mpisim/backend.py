@@ -348,11 +348,12 @@ class _ProcessCollectiveEngine:
 
     def abort(self) -> None:
         """Break the barrier (and the split-phase handshake) so ranks blocked
-        in a collective terminate."""
-        self.barrier.abort()
+        in a collective terminate; the flag goes up first (see the thread
+        engine's :meth:`abort`)."""
         with self._x_cond:
             self._x_abort.value = 1
             self._x_cond.notify_all()
+        self.barrier.abort()
 
     # -- split-phase exchange (see communicator.CollectiveEngine) -------------
 

@@ -106,54 +106,6 @@ def payload_signature(payload: Any, _depth: int = 0) -> str:
     return type(payload).__name__
 
 
-#: Marker tag of a concatenated-segments frame (see :func:`pack_segments`).
-#: The tag can never collide with science payloads: the pipeline exchanges
-#: arrays, packed read blocks and containers of those, never bare marker
-#: strings inside a 3-tuple of this exact shape.
-_CONCAT_TAG = "__hcat__"
-
-
-def pack_segments(payloads: list) -> Any:
-    """Concatenate homogeneous ndarray segments into one wire value.
-
-    The hierarchical exchange's leader hops carry many per-(source,
-    destination) segments in a single engine payload; shipping them as a
-    plain list costs one wire frame (tag + dtype + shape header) per
-    segment.  When every segment is an ndarray of one dtype and one
-    trailing shape, this packs them as ``(_CONCAT_TAG, lengths, data)`` —
-    two array frames total, amortising the per-segment header overhead the
-    leader hop exists to cut.  Anything non-uniform (packed read blocks,
-    ``None`` entries, mixed dtypes) falls back to the plain list, so the
-    codec never constrains what an exchange may carry.
-
-    Bit-exact round trip: :func:`unpack_segments` restores the original
-    segment boundaries, dtypes and values (as views into the concatenated
-    buffer).
-    """
-    if not payloads:
-        return list(payloads)
-    first = payloads[0]
-    if not isinstance(first, np.ndarray) or first.ndim < 1:
-        return list(payloads)
-    for item in payloads:
-        if (not isinstance(item, np.ndarray) or item.ndim != first.ndim
-                or item.dtype != first.dtype or item.shape[1:] != first.shape[1:]):
-            return list(payloads)
-    lengths = np.array([item.shape[0] for item in payloads], dtype=np.int64)
-    data = np.concatenate(payloads, axis=0)
-    return (_CONCAT_TAG, lengths, data)
-
-
-def unpack_segments(packed: Any) -> list:
-    """Restore the segment list produced by :func:`pack_segments`."""
-    if (isinstance(packed, tuple) and len(packed) == 3
-            and packed[0] == _CONCAT_TAG):
-        _tag, lengths, data = packed
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
-        return [data[offsets[i]:offsets[i + 1]] for i in range(len(lengths))]
-    return list(packed)
-
-
 def bucket_by_destination(
     values: np.ndarray, destinations: np.ndarray, n_ranks: int
 ) -> list[np.ndarray]:

@@ -1,87 +1,30 @@
-"""Rank-to-node topology, rank groups and physical-core detection.
+"""Rank-to-node topology.
 
 The paper's experiments place a fixed number of MPI ranks per node (one per
 core: 32 on Cori, 24 on Edison, 16 on Titan and AWS) and scale the number of
 nodes from 1 to 32.  The topology object captures that mapping so the network
 cost model can charge intra-node and inter-node traffic differently.
-
-On top of the node map, a topology can carry a **rank→group map** — the
-placement consumed by the hierarchical two-level collectives
-(``--collective hier``, see ``docs/topology.md``): ranks of one group elect a
-leader (the lowest rank) and an ``alltoallv`` runs gather-to-leader →
-leader-to-leader → intra-group scatter, cutting the cross-group segment
-count from O(R²) to O(G²).  It can also carry a **rank→core pin map**
-(``--pin-ranks``) applied by process-backend workers via
-``os.sched_setaffinity``.
-
-Group count and pin cores default to the *physical* layout of the host:
-:func:`detect_physical_layout` reads the schedulable-CPU affinity mask and
-``/sys/devices/system/cpu/cpu*/topology/physical_package_id``, degrading
-gracefully (restricted cgroup masks → the mask alone; no sysfs → one
-socket; a single core → one group).
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class Topology:
-    """A node/rank topology: ``n_nodes`` nodes with ``ranks_per_node`` each.
-
-    Attributes
-    ----------
-    groups:
-        Optional rank→group map for the hierarchical collectives: entry
-        ``r`` is rank ``r``'s group id.  Group ids must be exactly
-        ``0..n_groups-1`` with every group non-empty.  ``None`` (the
-        default) means the flat collective engine — every existing
-        constructor call keeps its meaning.
-    pin_cores:
-        Optional rank→CPU-core map applied by process-backend workers
-        (``os.sched_setaffinity``); ``None`` means no pinning.
-    """
+    """A flat node/rank topology: ``n_nodes`` nodes with ``ranks_per_node`` each."""
 
     n_nodes: int
     ranks_per_node: int
-    groups: tuple[int, ...] | None = None
-    pin_cores: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n_nodes <= 0:
             raise ValueError("n_nodes must be positive")
         if self.ranks_per_node <= 0:
             raise ValueError("ranks_per_node must be positive")
-        if self.groups is not None:
-            object.__setattr__(self, "groups", tuple(int(g) for g in self.groups))
-            if len(self.groups) != self.n_ranks:
-                raise ValueError(
-                    f"groups maps {len(self.groups)} ranks but the topology "
-                    f"has {self.n_ranks}"
-                )
-            present = set(self.groups)
-            n_groups = max(present) + 1
-            if present != set(range(n_groups)):
-                raise ValueError(
-                    f"group ids must be exactly 0..{n_groups - 1} with every "
-                    f"group non-empty; got {sorted(present)}"
-                )
-        if self.pin_cores is not None:
-            object.__setattr__(self, "pin_cores",
-                               tuple(int(c) for c in self.pin_cores))
-            if len(self.pin_cores) != self.n_ranks:
-                raise ValueError(
-                    f"pin_cores maps {len(self.pin_cores)} ranks but the "
-                    f"topology has {self.n_ranks}"
-                )
-            if any(core < 0 for core in self.pin_cores):
-                raise ValueError("pin_cores entries must be >= 0")
 
     @property
     def n_ranks(self) -> int:
@@ -114,195 +57,3 @@ class Topology:
     def single_node(cls, ranks: int) -> "Topology":
         """Convenience constructor for a one-node run with *ranks* ranks."""
         return cls(n_nodes=1, ranks_per_node=ranks)
-
-    # -- rank groups (hierarchical collectives) --------------------------------
-
-    @property
-    def n_groups(self) -> int:
-        """Number of rank groups (requires a group map)."""
-        if self.groups is None:
-            raise ValueError("topology carries no group map")
-        return max(self.groups) + 1
-
-    def group_of(self, rank: int) -> int:
-        """Group id of *rank* (requires a group map)."""
-        if self.groups is None:
-            raise ValueError("topology carries no group map")
-        if not (0 <= rank < self.n_ranks):
-            raise ValueError(f"rank {rank} out of range [0, {self.n_ranks})")
-        return self.groups[rank]
-
-    def ranks_in_group(self, group: int) -> tuple[int, ...]:
-        """The ranks of *group*, ascending (requires a group map)."""
-        if self.groups is None:
-            raise ValueError("topology carries no group map")
-        if not (0 <= group < self.n_groups):
-            raise ValueError(f"group {group} out of range [0, {self.n_groups})")
-        return tuple(r for r, g in enumerate(self.groups) if g == group)
-
-    def leader_of(self, group: int) -> int:
-        """The leader rank of *group*: its lowest rank."""
-        return self.ranks_in_group(group)[0]
-
-    @property
-    def group_leaders(self) -> tuple[int, ...]:
-        """Leader rank of every group, in group order."""
-        return tuple(self.leader_of(g) for g in range(self.n_groups))
-
-    def intergroup_mask(self) -> np.ndarray:
-        """Boolean (n_ranks, n_ranks) matrix: True where traffic crosses groups."""
-        if self.groups is None:
-            raise ValueError("topology carries no group map")
-        groups = np.asarray(self.groups)
-        return groups[:, None] != groups[None, :]
-
-    def with_groups(self, n_groups: int) -> "Topology":
-        """Copy of this topology partitioned into *n_groups* contiguous rank blocks.
-
-        Blocks are balanced to within one rank (``group = rank * G // R``),
-        so ranks sharing a node land in the same group whenever the group
-        count divides the node count — the placement the two-level
-        collectives want.
-        """
-        if not (1 <= n_groups <= self.n_ranks):
-            raise ValueError(
-                f"n_groups must be in [1, {self.n_ranks}], got {n_groups}")
-        groups = tuple((rank * n_groups) // self.n_ranks
-                       for rank in range(self.n_ranks))
-        return replace(self, groups=groups)
-
-    def with_group_map(self, groups: Sequence[int] | None) -> "Topology":
-        """Copy of this topology with an explicit rank→group map (or none)."""
-        return replace(self,
-                       groups=None if groups is None else tuple(groups))
-
-    def with_pin_cores(self, pin_cores: Sequence[int] | None) -> "Topology":
-        """Copy of this topology with an explicit rank→core pin map (or none)."""
-        return replace(self,
-                       pin_cores=None if pin_cores is None else tuple(pin_cores))
-
-
-# ---------------------------------------------------------------------------
-# Physical layout detection (sockets, schedulable cores)
-# ---------------------------------------------------------------------------
-
-#: Default sysfs root the socket detection reads from.
-_SYSFS_CPU_ROOT = "/sys/devices/system/cpu"
-
-
-@dataclass(frozen=True)
-class PhysicalLayout:
-    """The host cores this process may schedule on, with their sockets.
-
-    Attributes
-    ----------
-    cores:
-        Schedulable CPU ids, sorted by (socket, core id) so contiguous
-        slices stay socket-local.
-    packages:
-        Physical package (socket) id of each entry of ``cores``.
-    """
-
-    cores: tuple[int, ...]
-    packages: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.cores:
-            raise ValueError("a physical layout needs at least one core")
-        if len(self.cores) != len(self.packages):
-            raise ValueError("cores and packages must be parallel")
-
-    @property
-    def n_cores(self) -> int:
-        """Number of schedulable cores."""
-        return len(self.cores)
-
-    @property
-    def n_sockets(self) -> int:
-        """Number of distinct physical packages among the schedulable cores."""
-        return len(set(self.packages))
-
-
-def detect_physical_layout(affinity: Iterable[int] | None = None,
-                           sysfs: str | os.PathLike = _SYSFS_CPU_ROOT
-                           ) -> PhysicalLayout:
-    """Detect the schedulable cores and their sockets, degrading gracefully.
-
-    Detection order (each step falls back without raising):
-
-    1. *affinity* (injectable for tests), else ``os.sched_getaffinity(0)``
-       — the honest schedulable set under cgroup/taskset restriction —
-       else ``os.cpu_count()`` cores; an empty/unreadable answer degrades
-       to a single core 0.
-    2. Each core's socket from
-       ``{sysfs}/cpu<N>/topology/physical_package_id``; a missing or
-       unreadable entry lands the core on socket 0 (one-socket fallback
-       when sysfs is absent entirely, e.g. non-Linux).
-    """
-    if affinity is None:
-        getaffinity = getattr(os, "sched_getaffinity", None)
-        if getaffinity is not None:
-            try:
-                affinity = getaffinity(0)
-            except OSError:
-                affinity = None
-        if affinity is None:
-            affinity = range(os.cpu_count() or 1)
-    cores = sorted(int(c) for c in affinity)
-    if not cores:
-        cores = [0]
-    root = Path(sysfs)
-    packages = []
-    for core in cores:
-        try:
-            raw = (root / f"cpu{core}" / "topology"
-                   / "physical_package_id").read_text()
-            packages.append(int(raw.strip()))
-        except (OSError, ValueError):
-            packages.append(0)
-    order = sorted(range(len(cores)), key=lambda i: (packages[i], cores[i]))
-    return PhysicalLayout(cores=tuple(cores[i] for i in order),
-                          packages=tuple(packages[i] for i in order))
-
-
-def resolve_rank_groups(requested: int | None, n_ranks: int,
-                        layout: PhysicalLayout | None = None) -> int:
-    """The group count a hierarchical run actually uses.
-
-    An explicit *requested* count wins (clamped to ``[1, n_ranks]``);
-    otherwise the detected socket count, clamped the same way — so a
-    single-core or single-socket host auto-resolves to one group and the
-    hierarchy degenerates to a single gather/scatter domain instead of
-    failing.
-    """
-    if requested is not None:
-        return max(1, min(int(requested), n_ranks))
-    layout = layout or detect_physical_layout()
-    return max(1, min(layout.n_sockets, n_ranks))
-
-
-def assign_pin_cores(topology: Topology,
-                     layout: PhysicalLayout | None = None) -> tuple[int, ...]:
-    """A rank→core pin map placing each group on its own core slice.
-
-    The schedulable cores (socket-sorted) are split into one contiguous
-    slice per group, proportional to group size, and each group's ranks
-    take that slice round-robin — so co-grouped ranks share a socket
-    whenever the hardware allows it, and oversubscribed ranks (more ranks
-    than cores) wrap within their own slice instead of spilling across
-    groups.  Works for ungrouped topologies too (one implicit group).
-    """
-    layout = layout or detect_physical_layout()
-    groups = topology.groups
-    if groups is None:
-        return tuple(layout.cores[rank % layout.n_cores]
-                     for rank in range(topology.n_ranks))
-    n_groups = topology.n_groups
-    pins = [0] * topology.n_ranks
-    for group in range(n_groups):
-        lo = (group * layout.n_cores) // n_groups
-        hi = max(lo + 1, ((group + 1) * layout.n_cores) // n_groups)
-        block = layout.cores[lo:hi] or layout.cores
-        for i, rank in enumerate(topology.ranks_in_group(group)):
-            pins[rank] = block[i % len(block)]
-    return tuple(pins)

@@ -7,13 +7,6 @@ records with the run's :class:`~repro.mpisim.tracing.CommTrace` and a
 :class:`~repro.netmodel.platform.PlatformSpec` to produce per-stage compute
 and exchange times — the quantities plotted in Figures 3–13 of the paper.
 
-The topology handed in flows straight to the exchange model, so a topology
-carrying a rank→group map (a ``--collective hier`` run, or a grouped what-if
-via :meth:`~repro.mpisim.topology.Topology.with_groups`) is projected with
-the hierarchical per-call latency term — see
-:meth:`~repro.netmodel.costmodel.ExchangeCostModel.segments_per_call` and
-``docs/topology.md``.
-
 The stage records are duck-typed (any object with the attributes named in
 :class:`StageRecordLike`) so this module stays below ``repro.core`` in the
 layering.

@@ -163,6 +163,37 @@ class TestCli:
         assert main(["experiment", "table1"]) == 0
         assert "cori" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("shared", [
+        [],
+        ["-k", "19", "--nodes", "2", "--ranks-per-node", "3",
+         "--backend", "process", "--seed-mode", "minimizer",
+         "--minimizer-window", "5", "--hash-shards", "2",
+         "--read-cache-mb", "1.5", "--sanitize",
+         "--fault-plan", "kill:rank=1:step=2"],
+    ])
+    def test_shared_flags_fold_identically(self, shared):
+        from repro.cli import _build_parser, _run_config, _serve_config, _topology
+
+        parser = _build_parser()
+        run = parser.parse_args(["run", *shared])
+        serve = parser.parse_args(["serve", *shared])
+        query = parser.parse_args(["query", "--index", "i.fq", "--queries", "q.fq",
+                                   *shared])
+        config = _run_config(run)
+        assert _serve_config(serve) == config
+        assert _serve_config(query) == config
+        assert _topology(serve) == _topology(query) == _topology(run)
+        if shared:
+            assert config.kmer.k == 19
+            assert _topology(run).n_nodes == 2
+            assert _topology(run).ranks_per_node == 3
+            assert config.backend == "process"
+            assert (config.seed_mode, config.minimizer_window) == ("minimizer", 5)
+            assert config.hash_table_shards == 2
+            assert config.read_cache_mb == 1.5
+            assert config.sanitize
+            assert config.fault_plan == "kill:rank=1:step=2"
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -203,63 +203,58 @@ class TestReadCachePackedEntries:
 
 @pytest.mark.slow
 class TestWirePackingPipelineParity:
-    """Packed wire must be a pure encoding change: identical science, ~4x
-    fewer exchanged read-payload bytes, across both runtime backends."""
+    """The packed read exchange: ~4x fewer payload bytes than the ASCII
+    sequences, with identical science and traffic on both runtime backends."""
 
     @pytest.fixture(scope="class")
     def runs(self, micro_dataset, micro_config):
         from repro.core.driver import run_dibella
 
-        out = {}
-        for backend in ("thread", "process"):
-            for packing in (True, False):
-                config = (micro_config.with_backend(backend)
-                          .with_wire_packing(packing))
-                out[backend, packing] = run_dibella(
-                    micro_dataset.reads, config=config,
-                    n_nodes=1, ranks_per_node=3)
-        return out
+        return {backend: run_dibella(micro_dataset.reads,
+                                     config=micro_config.with_backend(backend),
+                                     n_nodes=1, ranks_per_node=3)
+                for backend in ("thread", "process")}
 
     def test_bit_identical_science_across_matrix(self, runs):
-        reference = runs["thread", False]
+        # Identity with the wire-free 1×1 run is the decomposition oracle in
+        # test_pipeline_integration.py; here the backends must agree exactly.
+        reference = runs["thread"]
         ref_table = reference.alignment_table()
-        for key, result in runs.items():
-            assert result.overlap_pairs() == reference.overlap_pairs(), key
-            table = result.alignment_table()
-            for column in ref_table:
-                np.testing.assert_array_equal(table[column], ref_table[column],
-                                              err_msg=str((key, column)))
+        table = runs["process"].alignment_table()
+        assert runs["process"].overlap_pairs() == reference.overlap_pairs()
+        for column in ref_table:
+            np.testing.assert_array_equal(table[column], ref_table[column],
+                                          err_msg=column)
 
     def test_packed_payload_at_least_3x_smaller(self, runs):
-        for backend in ("thread", "process"):
-            packed = runs[backend, True].counters
-            ascii_ = runs[backend, False].counters
-            assert packed["read_payload_raw_bytes"] == ascii_["read_payload_raw_bytes"]
-            assert ascii_["read_payload_wire_bytes"] == ascii_["read_payload_raw_bytes"]
-            assert (packed["read_payload_wire_bytes"] * 3
-                    <= packed["read_payload_raw_bytes"])
+        for result in runs.values():
+            counters = result.counters
+            assert counters["read_payload_raw_bytes"] > 0
+            assert (counters["read_payload_wire_bytes"] * 3
+                    <= counters["read_payload_raw_bytes"])
 
     def test_alignment_exchange_trace_volume_drops(self, runs):
-        for backend in ("thread", "process"):
-            packed_bytes = (runs[backend, True].trace
-                            .phase_traffic("alignment_exchange").total_bytes)
-            ascii_bytes = (runs[backend, False].trace
-                           .phase_traffic("alignment_exchange").total_bytes)
-            assert packed_bytes < ascii_bytes
+        # The whole phase (requests, block headers and packed bases) moves
+        # fewer bytes than the ASCII sequences alone would.
+        for result in runs.values():
+            phase_bytes = (result.trace.phase_traffic("alignment_exchange")
+                           .total_bytes)
+            assert phase_bytes < result.counters["read_payload_raw_bytes"]
 
     def test_trace_identical_across_backends(self, runs):
         # Packed payload byte accounting must stay backend-independent.
-        for packing in (True, False):
-            thread = runs["thread", packing].trace
-            process = runs["process", packing].trace
-            assert thread.total_bytes() == process.total_bytes()
+        assert runs["thread"].trace.total_bytes() == runs["process"].trace.total_bytes()
 
-    def test_local_memory_accounting_mode_invariant(self, runs):
-        # The cost-model input (bytes of reads held for alignment) must not
-        # depend on the wire encoding, even though the packed serve path
-        # memoises served reads in the owner's cache.
-        for backend in ("thread", "process"):
-            packed = runs[backend, True].stage("alignment")
-            ascii_ = runs[backend, False].stage("alignment")
-            np.testing.assert_array_equal(packed.local_bytes_per_rank,
-                                          ascii_.local_bytes_per_rank)
+    def test_local_memory_accounting_mode_invariant(self, runs, micro_dataset):
+        # The cost-model input is the bytes of the reads a rank's own tasks
+        # touch — not the reads its packed serve path memoised for peers.
+        reads = micro_dataset.reads
+        for result in runs.values():
+            local = result.stage("alignment").local_bytes_per_rank
+            for rank, report in enumerate(result.rank_reports):
+                assert (report.counters["alignments"]
+                        == report.counters["accepted_alignments"])
+                rids = np.union1d(report.aln_rid_a, report.aln_rid_b)
+                expected = sum(len(reads[int(rid)].sequence) for rid in rids)
+                assert local[rank] == expected, rank
+

@@ -111,6 +111,30 @@ class TestDecompositionInvariance:
         assert other.n_retained_kmers == baseline.n_retained_kmers
         assert other.counters["distinct_keys"] == baseline.counters["distinct_keys"]
 
+    @pytest.fixture(scope="class")
+    def single_rank(self, micro_dataset, micro_config):
+        """The 1×1 reference: every read is local, so nothing crosses the wire."""
+        return run_dibella(micro_dataset.reads, config=micro_config,
+                           n_nodes=1, ranks_per_node=1)
+
+    def test_single_rank_reference_never_touches_wire(self, single_rank):
+        assert single_rank.counters["read_payload_wire_bytes"] == 0
+        assert single_rank.counters["remote_reads_fetched"] == 0
+
+    @pytest.mark.parametrize("n_nodes,ranks_per_node", [(1, 2), (1, 3), (2, 2)])
+    def test_alignment_table_matches_single_rank(self, micro_dataset, micro_config,
+                                                 single_rank, n_nodes, ranks_per_node):
+        other = run_dibella(micro_dataset.reads, config=micro_config,
+                            n_nodes=n_nodes, ranks_per_node=ranks_per_node)
+        # The reads crossed the 2-bit wire codec on the way to the aligner.
+        assert other.counters["read_payload_wire_bytes"] > 0
+        expected = _sorted_rows(single_rank.alignment_table())
+        actual = _sorted_rows(other.alignment_table())
+        assert expected["rid_a"].size > 0
+        for column in expected:
+            np.testing.assert_array_equal(actual[column], expected[column],
+                                          err_msg=column)
+
     def test_task_counts_balanced(self, micro_dataset, micro_config):
         result = run_dibella(micro_dataset.reads, config=micro_config,
                              n_nodes=2, ranks_per_node=2)
@@ -118,6 +142,13 @@ class TestDecompositionInvariance:
         assert tasks.sum() == result.n_alignments
         # Algorithm 1 + uniform RIDs: task counts per rank within ~50% of the mean.
         assert tasks.max() <= 1.6 * tasks.mean()
+
+
+def _sorted_rows(table: dict) -> dict:
+    """*table* with its rows in (rid_a, rid_b, score, span_a, span_b) order."""
+    order = np.lexsort([table[c] for c in ("span_b", "span_a", "score",
+                                           "rid_b", "rid_a")])
+    return {column: values[order] for column, values in table.items()}
 
 
 class TestConfigurationEffects:

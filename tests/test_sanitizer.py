@@ -187,6 +187,25 @@ class TestWatchdog:
         results = spmd_run(3, _happy_program, backend=backend, sanitize=True)
         assert len(results) == 3
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_peer_abort_visible_before_barrier_breaks(self, backend):
+        # A rank woken by the broken barrier reads aborted_by_peer to tell a
+        # peer's failure from its own timeout, so the flag must come first.
+        if backend == "thread":
+            from repro.mpisim.communicator import _CollectiveState
+            engine = _CollectiveState(2, sanitize=True)
+        else:
+            from repro.mpisim.backend import _ProcessCollectiveEngine
+            engine = _ProcessCollectiveEngine(mp.get_context("spawn"), 2,
+                                              sanitize=True)
+        seen = []
+        breaks = engine.barrier.abort
+        engine.barrier.abort = lambda: (seen.append(engine.aborted_by_peer),
+                                        breaks())
+        engine.abort()
+        assert seen == [True]
+        assert engine.barrier.broken
+
 
 # ---------------------------------------------------------------------------
 # Happy path: sanitize is observation-only

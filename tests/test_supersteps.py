@@ -8,9 +8,10 @@ Two layers:
   (and traces) of the bulk-synchronous fallback, for both the single-hop and
   the two-hop (request/response) shapes, on both runtime backends;
 * pipeline-level (slow tier) — sync-vs-split-phase equivalence and trace
-  identity for stages 1, 2 and 4 (mirroring the existing overlap tests),
+  identity with every stage double-buffered (the overlap stage alone is
+  also covered in test_backends.py),
   the ``{thread, process} × {double-buffer on/off}`` parity matrix over the
-  per-stage knobs, the bloom stash release accounting, and the alignment
+  streaming and fetch-batching knobs, the bloom stash release accounting, and the alignment
   fetch-batching invariance.
 """
 
@@ -19,8 +20,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import SUPERSTEP_STAGES, PipelineConfig
+from repro.core.config import PipelineConfig
 from repro.core.counters import SCHEDULE_FLAG_COUNTERS
+from repro.core.result import STAGE_NAMES
 from repro.core.supersteps import ScheduleOutcome, StageTimer, SuperstepSchedule
 from repro.mpisim.errors import CollectiveMismatchError, RankFailedError
 from repro.mpisim.runtime import spmd_run
@@ -190,33 +192,7 @@ class TestPhaseLabelledExchanges:
 
 
 class TestPerStageConfig:
-    """The per-stage double-buffer and alignment batching knobs."""
-
-    def test_global_flag_applies_uniformly(self):
-        config = PipelineConfig(double_buffer=True, double_buffer_stages=None)
-        assert all(config.stage_double_buffer(s) for s in SUPERSTEP_STAGES)
-        config = config.with_double_buffer(False)
-        assert not any(config.stage_double_buffer(s) for s in SUPERSTEP_STAGES)
-
-    def test_stage_override_wins(self):
-        config = PipelineConfig(double_buffer=False,
-                                double_buffer_stages=("bloom", "overlap"))
-        assert config.stage_double_buffer("bloom")
-        assert config.stage_double_buffer("overlap")
-        assert not config.stage_double_buffer("hashtable")
-        assert not config.stage_double_buffer("alignment")
-
-    def test_with_double_buffer_clears_override(self):
-        config = PipelineConfig(double_buffer_stages=("bloom",))
-        cleared = config.with_double_buffer(True)
-        assert cleared.double_buffer_stages is None
-        assert all(cleared.stage_double_buffer(s) for s in SUPERSTEP_STAGES)
-
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(double_buffer_stages=("bloom", "nope"))
-        with pytest.raises(ValueError):
-            PipelineConfig().stage_double_buffer("nope")
+    """The stage-4 fetch batching knob (the only stage-specific schedule knob)."""
 
     def test_alignment_batch_tasks_validated(self):
         assert PipelineConfig(alignment_batch_tasks=None).alignment_batch_tasks is None
@@ -225,21 +201,14 @@ class TestPerStageConfig:
             PipelineConfig(alignment_batch_tasks=0)
 
     def test_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("DIBELLA_DOUBLE_BUFFER_STAGES", "bloom, hashtable")
         monkeypatch.setenv("DIBELLA_ALIGN_BATCH_TASKS", "128")
-        config = PipelineConfig()
-        assert config.double_buffer_stages == ("bloom", "hashtable")
-        assert config.alignment_batch_tasks == 128
-        monkeypatch.setenv("DIBELLA_DOUBLE_BUFFER_STAGES", "")
+        assert PipelineConfig().alignment_batch_tasks == 128
         monkeypatch.setenv("DIBELLA_ALIGN_BATCH_TASKS", "0")
-        config = PipelineConfig()
-        assert config.double_buffer_stages == ()
-        assert not any(config.stage_double_buffer(s) for s in SUPERSTEP_STAGES)
-        assert config.alignment_batch_tasks is None
+        assert PipelineConfig().alignment_batch_tasks is None
 
 
 # ---------------------------------------------------------------------------
-# Pipeline-level: per-stage equivalence and the full parity matrix
+# Pipeline-level: schedule equivalence and the full parity matrix
 # ---------------------------------------------------------------------------
 
 def _assert_science_identical(result, reference):
@@ -264,8 +233,8 @@ def _assert_counters_identical(result, reference):
 
 @pytest.mark.slow
 class TestStageScheduleEquivalence:
-    """Sync-vs-split-phase equivalence + trace identity for stages 1, 2, 4
-    (mirroring the existing overlap-stage tests in test_backends.py)."""
+    """Sync-vs-split-phase equivalence + trace identity with every stage
+    double-buffered at once (the bulk-synchronous run is the oracle)."""
 
     @pytest.fixture(scope="class")
     def streaming_config(self, micro_config) -> PipelineConfig:
@@ -281,30 +250,8 @@ class TestStageScheduleEquivalence:
         from repro.core.driver import run_dibella
 
         return run_dibella(micro_dataset.reads,
-                           config=streaming_config.with_double_buffer_stages(()),
+                           config=streaming_config.with_double_buffer(False),
                            n_nodes=1, ranks_per_node=3)
-
-    @pytest.mark.parametrize("stage", ["bloom", "hashtable", "alignment"])
-    def test_stage_split_phase_matches_sync(self, micro_dataset,
-                                            streaming_config, sync_run, stage):
-        from repro.core.driver import run_dibella
-
-        config = streaming_config.with_double_buffer_stages((stage,))
-        result = run_dibella(micro_dataset.reads, config=config,
-                             n_nodes=1, ranks_per_node=3)
-        _assert_science_identical(result, sync_run)
-        _assert_counters_identical(result, sync_run)
-        # The schedule actually overlapped something, and only this stage.
-        flag = ("chunks" if stage == "overlap" else "steps")
-        assert result.counters[f"{stage}_exchange_double_buffered"] > 0
-        assert result.counters[f"{stage}_{flag}_overlapped"] > 0
-        assert result.stage(stage).wall_overlapped_seconds.sum() > 0.0
-        for other in set(SUPERSTEP_STAGES) - {stage}:
-            assert result.counters[f"{other}_exchange_double_buffered"] == 0
-        # Trace identity: same volumes, same per-phase call counts.
-        assert result.trace.summary() == sync_run.trace.summary()
-        assert (result.trace.snapshot()["alltoallv_calls"]
-                == sync_run.trace.snapshot()["alltoallv_calls"])
 
     def test_all_stages_double_buffered_matches_sync(self, micro_dataset,
                                                      streaming_config, sync_run):
@@ -315,14 +262,22 @@ class TestStageScheduleEquivalence:
                              n_nodes=1, ranks_per_node=3)
         _assert_science_identical(result, sync_run)
         _assert_counters_identical(result, sync_run)
-        assert result.trace.summary() == sync_run.trace.summary()
-        for stage in SUPERSTEP_STAGES:
+        # Every stage's schedule actually overlapped something.
+        for stage in STAGE_NAMES:
+            flag = "chunks" if stage == "overlap" else "steps"
             assert result.counters[f"{stage}_exchange_double_buffered"] > 0
+            assert sync_run.counters[f"{stage}_exchange_double_buffered"] == 0
+            assert result.counters[f"{stage}_{flag}_overlapped"] > 0, stage
+            assert result.stage(stage).wall_overlapped_seconds.sum() > 0.0, stage
+        # Trace identity: same volumes, same per-phase call counts.
+        assert result.trace.summary() == sync_run.trace.summary()
+        assert (result.trace.snapshot()["alltoallv_calls"]
+                == sync_run.trace.snapshot()["alltoallv_calls"])
 
 
 @pytest.mark.slow
 class TestSuperstepParityMatrix:
-    """{thread, process} × {double-buffer on/off} over the per-stage knobs:
+    """{thread, process} × {double-buffer on/off} over the superstep knobs:
     bit-identical tables, counters, and alignment results."""
 
     @pytest.fixture(scope="class")

@@ -14,8 +14,8 @@ and for the kernel-choice ablation:
   ("terminate early when the alignment score drops significantly", §2),
   the production kernel.
 * :mod:`repro.align.batch` — a batch executor that runs a list of alignment
-  tasks with any kernel and accumulates the DP-cell work counters the cost
-  model needs.
+  tasks with the x-drop kernel and accumulates the DP-cell work counters the
+  cost model needs (``align_task`` runs one task with any of the kernels).
 
 All kernels count the DP cells they actually fill; that count is the
 alignment stage's work measure (divergent pairs terminate early and fill far

@@ -1,10 +1,10 @@
 """Batch execution of alignment tasks.
 
 The alignment stage of the pipeline receives, on every rank, a list of
-alignment *tasks* — (read pair, seed) tuples — and runs the chosen kernel on
+alignment *tasks* — (read pair, seed) tuples — and runs the x-drop kernel on
 each locally ("once the reads are communicated, the alignment computation can
 proceed independently in parallel", §9).  The :class:`BatchAligner` is that
-local executor: it resolves read sequences, dispatches to the kernel, applies
+local executor: it resolves read sequences, runs the batched kernel, applies
 the alignment-quality cutoff, and accumulates the work counters (alignments
 performed, DP cells filled) that drive the performance projection and the
 load-imbalance analysis.
@@ -13,7 +13,7 @@ load-imbalance analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -143,7 +143,11 @@ class BatchStats:
 
 @dataclass
 class BatchAligner:
-    """Runs alignment tasks against a read-sequence lookup.
+    """Runs alignment tasks against a read-sequence lookup with the x-drop kernel.
+
+    The production executor always uses the task-batched banded x-drop
+    kernel; the ``banded`` and ``full`` kernels are ablation and oracle
+    entry points of :func:`align_task`.
 
     Parameters
     ----------
@@ -151,15 +155,12 @@ class BatchAligner:
         Mapping from RID to read sequence.  In the distributed pipeline this
         holds the rank's local reads plus the remote reads fetched during the
         alignment-stage exchange.
-    kernel:
-        ``"xdrop"`` (default, the production kernel), ``"banded"`` or
-        ``"full"``.
     k:
-        Seed length (needed by the seeded kernels).
+        Seed length.
     xdrop:
-        x-drop threshold for the x-drop kernel.
+        x-drop threshold.
     band:
-        Band half-width for the banded kernel.
+        Band width of the batched x-drop kernel.
     min_score:
         Alignments scoring below this are counted but not *accepted* —
         diBELLA's output filter for low-quality alignments.
@@ -172,7 +173,6 @@ class BatchAligner:
     """
 
     sequences: Mapping[int, str]
-    kernel: str = "xdrop"
     k: int = 17
     scoring: ScoringScheme = field(default_factory=ScoringScheme)
     xdrop: int = 25
@@ -181,43 +181,26 @@ class BatchAligner:
     stats: BatchStats = field(default_factory=BatchStats)
     cache: ReadCache = field(default_factory=ReadCache)
 
-    def __post_init__(self) -> None:
-        if self.kernel not in ("xdrop", "banded", "full"):
-            raise ValueError(f"unknown kernel {self.kernel!r}")
-
     def align(self, task: AlignmentTask) -> AlignmentResult:
         """Run one task and update the counters.
 
-        Equivalent to ``align_all([task])[0]`` — in particular the x-drop
-        kernel goes through the same banded batched code path regardless of
-        batch size, so a task's score never depends on how it was batched.
+        Equivalent to ``align_all([task])[0]``: a task goes through the same
+        banded batched code path regardless of batch size, so its score
+        never depends on how it was batched.
         """
-        if self.kernel == "xdrop":
-            return self.align_all([task])[0]
-        result = align_task(
-            task,
-            self.sequences,
-            kernel=self.kernel,
-            k=self.k,
-            scoring=self.scoring,
-            xdrop=self.xdrop,
-            band=self.band,
-        )
-        self.stats.record(result, accepted=result.score >= self.min_score)
-        return result
+        return self.align_all([task])[0]
 
     def align_all(self, tasks: Iterable[AlignmentTask]) -> list[AlignmentResult]:
         """Run every task, returning results in task order.
 
-        For the x-drop kernel *all* tasks — including singleton batches — are
-        executed with the task-batched banded kernel
-        (:mod:`repro.align.batched_xdrop`), which amortises the interpreter
-        overhead over the whole batch and keeps scores independent of batch
-        size; the other kernels run task-by-task.
+        *All* tasks — including singleton batches — are executed with the
+        task-batched banded kernel (:mod:`repro.align.batched_xdrop`), which
+        amortises the interpreter overhead over the whole batch and keeps
+        scores independent of batch size.
         """
         task_list = list(tasks)
-        if self.kernel != "xdrop" or not task_list:
-            return [self.align(task) for task in task_list]
+        if not task_list:
+            return []
         results = batched_xdrop_align(
             task_list,
             self.sequences,
@@ -245,7 +228,9 @@ def align_task(
 
     The ``"xdrop"`` kernel here is the *unbounded* scalar reference
     extension (:func:`repro.align.xdrop.xdrop_seed_extend`); the production
-    path used by :class:`BatchAligner` is the banded batched kernel.
+    path used by :class:`BatchAligner` is the banded batched kernel.  The
+    ``"banded"`` and ``"full"`` kernels are the ablation and oracle entry
+    points (``benchmarks/bench_ablation_align_kernel.py``).
     """
     scoring = scoring or ScoringScheme()
     try:
@@ -355,5 +340,3 @@ def batched_xdrop_align(
         )
     return results
 
-
-KernelFunction = Callable[[AlignmentTask, Mapping[int, str]], AlignmentResult]

@@ -44,7 +44,8 @@ RULES: dict[str, str] = {
     "SL004": "counter key not declared in repro.core.counters "
              "(backend-invariance tests iterate the registry)",
     "SL005": "PipelineConfig knob missing one of CLI flag / DIBELLA_* env "
-             "default / README knob-table row",
+             "default / README knob-table row, or a stale README row / flag "
+             "alias naming no PipelineConfig field",
 }
 
 #: SimCommunicator collective methods (call sites, not definitions).
@@ -72,7 +73,6 @@ _COUNTER_FILES = ("stages.py", "supersteps.py", "pipeline.py")
 #: Knobs whose CLI flag does not follow the ``--field-name`` derivation.
 _FLAG_ALIASES = {
     "hash_table_shards": "--hash-shards",
-    "alignment_batch_tasks": "--align-batch-tasks",
 }
 
 _SUPPRESS_RE = re.compile(
@@ -391,13 +391,25 @@ def _cli_flags(cli_path: Path) -> set[str]:
     return flags
 
 
-def _readme_knob_fields(readme_path: Path) -> set[str]:
-    """Backticked names appearing in README table rows (lines starting '|')."""
-    names: set[str] = set()
-    for line in readme_path.read_text(encoding="utf-8").splitlines():
-        if line.lstrip().startswith("|"):
-            names.update(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", line))
-    return names
+def _readme_knob_rows(readme_path: Path) -> list[tuple[int, str]]:
+    """``(lineno, field)`` per README table row with a "Config field" column."""
+    rows: list[tuple[int, str]] = []
+    column: int | None = None  # the open table's field column (-1: none)
+    lines = readme_path.read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.lstrip().startswith("|"):
+            column = None
+            continue
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if column is None:  # header row of a new table
+            column = cells.index("Config field") if "Config field" in cells else -1
+            continue
+        if column < 0 or column >= len(cells):
+            continue
+        match = re.fullmatch(r"`([A-Za-z_][A-Za-z0-9_]*)`", cells[column])
+        if match:
+            rows.append((lineno, match.group(1)))
+    return rows
 
 
 def _check_knob_plumbing(
@@ -411,6 +423,10 @@ def _check_knob_plumbing(
     cannot be settable from the CLI but invisible to scripted env-driven CI,
     or documented but not settable.  Purely programmatic fields (scoring
     schemes, hints) expose none of the three and are exempt.
+
+    Stale plumbing is reported too: a README knob-table row or a
+    :data:`_FLAG_ALIASES` entry naming no ``PipelineConfig`` field (a
+    deleted knob's leftovers).
     """
     cli_path = config_path.parent.parent / "cli.py"
     readme_path = next(
@@ -419,9 +435,22 @@ def _check_knob_plumbing(
     if not cli_path.is_file() or readme_path is None:
         return []
     flags = _cli_flags(cli_path)
-    rows = _readme_knob_fields(readme_path)
-    findings: list[Finding] = []
-    for name, lineno, envs in _config_fields(tree):
+    readme_rows = _readme_knob_rows(readme_path)
+    rows = {name for _, name in readme_rows}
+    config_fields = _config_fields(tree)
+    field_names = {name for name, _, _ in config_fields}
+    findings: list[Finding] = [
+        Finding(str(readme_path), lineno, 1, "SL005",
+                f"README knob-table row names {name!r}, which is not a "
+                "PipelineConfig field")
+        for lineno, name in readme_rows if name not in field_names
+    ]
+    findings.extend(
+        Finding(str(config_path), 1, 1, "SL005",
+                f"_FLAG_ALIASES (repro.analysis.lint) maps {name!r}, which is "
+                "not a PipelineConfig field")
+        for name in sorted(_FLAG_ALIASES) if name not in field_names)
+    for name, lineno, envs in config_fields:
         derived = _FLAG_ALIASES.get(name, "--" + name.replace("_", "-"))
         no_variant = "--no-" + derived.removeprefix("--")
         has_flag = derived in flags or no_variant in flags

@@ -164,15 +164,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           "keeps per-rank read caches across runs; DIBELLA_POOL=1 "
                           "has the same effect)")
     run.add_argument("--no-double-buffer", action="store_true",
-                     help="disable double buffering of every stage's exchange "
-                          "supersteps (bulk-synchronous schedule; output is "
+                     help="disable double buffering of the streamed stages' "
+                          "exchange supersteps (bulk-synchronous schedule; output is "
                           "bit-identical either way)")
-    run.add_argument("--align-batch-tasks", type=int, default=None,
-                     help="alignment tasks per read-fetch superstep: batches "
-                          "the stage-4 request/response rounds so batch i+1's "
-                          "remote reads are in flight while batch i aligns; "
-                          "0 (the default) fetches everything in one round "
-                          "(DIBELLA_ALIGN_BATCH_TASKS has the same effect)")
     run.add_argument("--pool-stats", action="store_true",
                      help="print per-pool usage statistics (runs served, forks "
                           "amortised) after the run; only meaningful with --pool")
@@ -307,9 +301,6 @@ def _run_config(args: argparse.Namespace) -> PipelineConfig:
         config = config.with_pool(True)
     if args.no_double_buffer:
         config = config.with_double_buffer(False)
-    if args.align_batch_tasks is not None:
-        config = config.with_alignment_batch_tasks(
-            args.align_batch_tasks if args.align_batch_tasks != 0 else None)
     return config
 
 

@@ -30,14 +30,6 @@ def _env_flag(name: str, default: bool) -> bool:
     return raw.strip().lower() not in ("0", "", "false", "off", "no")
 
 
-def _env_optional_int(name: str) -> int | None:
-    """Parse an optional positive int knob (unset or "0" -> None)."""
-    raw = os.environ.get(name)
-    if raw is None or raw.strip() in ("", "0"):
-        return None
-    return int(raw)
-
-
 def _env_optional_float(name: str, default: float | None) -> float | None:
     """Parse an optional float knob (unset -> *default*, "0" -> None)."""
     raw = os.environ.get(name)
@@ -98,8 +90,8 @@ class PipelineConfig:
     seed_strategy:
         Which shared seeds to align per overlapping pair (§5's one-seed /
         1 kbp separation / k separation settings).
-    kernel / xdrop / band / scoring / min_alignment_score:
-        Alignment-stage kernel configuration (§9).
+    xdrop / band / scoring / min_alignment_score:
+        Alignment-stage x-drop kernel configuration (§9).
     partition_strategy:
         How input reads are split across ranks (``"size"`` reproduces the
         paper's byte-balanced blocks).
@@ -122,14 +114,15 @@ class PipelineConfig:
         ``DIBELLA_EXCHANGE_CHUNK_MB`` (``0`` disables chunking; CLI
         ``--exchange-chunk-mb``).
     double_buffer:
-        Double-buffer every stage's exchange supersteps: each stage's chunk
-        ``i+1`` is generated and published while the peers are still reading
-        chunk ``i`` (split-phase ``alltoallv_start``/``alltoallv_finish``
-        through the unified :class:`~repro.core.supersteps.SuperstepSchedule`),
-        hiding batch parsing / pair generation / read serving behind the
-        exchanges.  Scientific output is bit-identical either way; the
-        default honours ``DIBELLA_DOUBLE_BUFFER`` (set to ``0`` to force the
-        bulk-synchronous schedule everywhere).
+        Double-buffer the exchange supersteps of every streamed stage (1-3):
+        each stage's chunk ``i+1`` is generated and published while the peers
+        are still reading chunk ``i`` (split-phase
+        ``alltoallv_start``/``alltoallv_finish`` through the unified
+        :class:`~repro.core.supersteps.SuperstepSchedule`), hiding batch
+        parsing and pair generation behind the exchanges.  Scientific output
+        is bit-identical either way; the default honours
+        ``DIBELLA_DOUBLE_BUFFER`` (set to ``0`` to force the bulk-synchronous
+        schedule everywhere).
     hash_table_shards:
         Number of k-mer code-range shards the retained-k-mer table is built
         in.  With ``S > 1`` the hash-table/overlap boundary streams one
@@ -138,16 +131,6 @@ class PipelineConfig:
         shard instead of the whole partition (counter
         ``retained_table_peak_bytes``).  Output is bit-identical for every
         shard count.  The default honours ``DIBELLA_HASH_SHARDS``.
-    alignment_batch_tasks:
-        Number of alignment tasks per superstep of the alignment stage's
-        two-hop (request/response) read-fetch schedule.  With a bound, each
-        superstep requests only the remote reads its task batch needs first
-        (every read is still fetched exactly once), and with double
-        buffering batch ``i+1``'s fetch is in flight while batch ``i``
-        aligns.  ``None`` (the default) fetches everything in one superstep
-        — the paper's original two-round exchange.  Output is bit-identical
-        for every batch size.  The default honours
-        ``DIBELLA_ALIGN_BATCH_TASKS`` (``0``/unset means ``None``).
     pool:
         Run the SPMD program on the persistent rank pool: with the process
         backend, rank processes park on a barrier between ``spmd_run``
@@ -218,7 +201,6 @@ class PipelineConfig:
     # as the named presets of --seed-strategy (the "dk" preset depends on -k),
     # so a scalar env default cannot express it.
     seed_strategy: SeedStrategy = field(default_factory=SeedStrategy.one_seed)
-    kernel: str = "xdrop"
     xdrop: int = 25
     band: int = DEFAULT_XDROP_BAND
     scoring: ScoringScheme = field(default_factory=ScoringScheme)
@@ -236,9 +218,6 @@ class PipelineConfig:
     )
     hash_table_shards: int = field(
         default_factory=lambda: int(os.environ.get("DIBELLA_HASH_SHARDS", "4"))
-    )
-    alignment_batch_tasks: int | None = field(
-        default_factory=lambda: _env_optional_int("DIBELLA_ALIGN_BATCH_TASKS")
     )
     pool: bool = field(default_factory=lambda: _env_flag("DIBELLA_POOL", False))
     serve_batch_reads: int = field(
@@ -272,8 +251,6 @@ class PipelineConfig:
             raise ValueError("hll_precision must be in [4, 18]")
         if self.batch_reads < 1:
             raise ValueError("batch_reads must be >= 1")
-        if self.kernel not in ("xdrop", "banded", "full"):
-            raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.partition_strategy not in ("size", "round_robin"):
             raise ValueError(f"unknown partition strategy {self.partition_strategy!r}")
         if self.owner_heuristic not in ("oddeven", "min", "random"):
@@ -284,9 +261,6 @@ class PipelineConfig:
             raise ValueError("exchange_chunk_mb must be positive (or None to disable)")
         if self.hash_table_shards < 1:
             raise ValueError("hash_table_shards must be >= 1")
-        if self.alignment_batch_tasks is not None and self.alignment_batch_tasks < 1:
-            raise ValueError(
-                "alignment_batch_tasks must be >= 1 (or None for one batch)")
         if self.serve_batch_reads < 1:
             raise ValueError("serve_batch_reads must be >= 1")
         if self.read_cache_mb < 0:
@@ -325,10 +299,6 @@ class PipelineConfig:
     def with_double_buffer(self, double_buffer: bool) -> "PipelineConfig":
         """Copy of this config with exchange double buffering on or off (all stages)."""
         return replace(self, double_buffer=double_buffer)
-
-    def with_alignment_batch_tasks(self, batch: int | None) -> "PipelineConfig":
-        """Copy of this config fetching/aligning *batch* tasks per superstep."""
-        return replace(self, alignment_batch_tasks=batch)
 
     def with_hash_table_shards(self, hash_table_shards: int) -> "PipelineConfig":
         """Copy of this config building the k-mer table in *hash_table_shards* code ranges."""
@@ -389,7 +359,3 @@ class PipelineConfig:
     def with_seed_strategy(self, strategy: SeedStrategy) -> "PipelineConfig":
         """Copy of this config with a different seed strategy (bench helper)."""
         return replace(self, seed_strategy=strategy)
-
-    def with_kernel(self, kernel: str) -> "PipelineConfig":
-        """Copy of this config with a different alignment kernel (bench helper)."""
-        return replace(self, kernel=kernel)

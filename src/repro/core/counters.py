@@ -56,7 +56,7 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "hashtable_payload_bytes": "bytes of (code, rid, pos) tuples moved by the hash-table exchange",
     "retained_kmers": "distinct reliable k-mers retained after frequency filtering",
     "retained_occurrences": "read occurrences retained under the reliable k-mers",
-    "hash_table_shards": "code-range shards the retained table was built in (the memory bound)",
+    "hash_table_shards": "code-range shards the retained table was built in (the memory bound; recorded once, on rank 0)",
     "retained_table_peak_bytes": "peak bytes of any single retained-table shard",
     # -- stage 3: overlap detection -----------------------------------------
     "pairs_generated": "candidate read pairs generated from shared reliable k-mers",
@@ -71,7 +71,6 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "remote_reads_fetched": "read sequences fetched from remote owner ranks",
     "read_payload_raw_bytes": "ASCII-equivalent bytes of the served read payloads",
     "read_payload_wire_bytes": "bytes of read payloads that actually crossed the exchange",
-    "alignment_fetch_rounds": "fetch supersteps the alignment stage used",
     # -- per-rank read cache (ReadCache.counters) ---------------------------
     "read_cache_hits": "alignment read-cache hits (sequence already resident)",
     "read_cache_misses": "alignment read-cache misses (sequence fetched or faulted)",
@@ -98,8 +97,6 @@ PIPELINE_COUNTERS: dict[str, str] = {
     "hashtable_steps_overlapped": "hash-table supersteps whose compute overlapped a peer's exchange",
     "overlap_exchange_double_buffered": "1 if the overlap exchange ran split-phase double-buffered",
     "overlap_chunks_overlapped": "overlap chunks whose compute overlapped a peer's exchange",
-    "alignment_exchange_double_buffered": "1 if the alignment fetch ran split-phase double-buffered",
-    "alignment_steps_overlapped": "alignment fetch rounds whose compute overlapped a peer's exchange",
     "query_route_double_buffered": "1 if the query-routing exchange ran split-phase double-buffered",
     "query_route_steps_overlapped": "query-routing supersteps whose compute overlapped a peer's exchange",
     # -- rank-failure recovery (see RECOVERY_COUNTERS) ----------------------
@@ -123,8 +120,6 @@ SCHEDULE_FLAG_COUNTERS: frozenset[str] = frozenset({
     "hashtable_steps_overlapped",
     "overlap_exchange_double_buffered",
     "overlap_chunks_overlapped",
-    "alignment_exchange_double_buffered",
-    "alignment_steps_overlapped",
     "query_route_double_buffered",
     "query_route_steps_overlapped",
 })

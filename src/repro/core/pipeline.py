@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from typing import Callable
 
 import numpy as np
 
@@ -115,56 +116,17 @@ class DibellaPipeline:
         """Run the full pipeline on *readset* and return the assembled result."""
         if len(readset) == 0:
             raise ValueError("cannot run the pipeline on an empty read set")
-        config = self.config
-        topology = self.topology
-        n_ranks = topology.n_ranks
-
-        assignments = partition_reads(readset, n_ranks, strategy=config.partition_strategy)
-        high_freq_threshold = config.resolve_high_freq_threshold(readset)
-        trace = CommTrace(n_ranks)
         # Under the persistent rank pool, tag this run's read caches with the
         # data set's content digest so reused ranks hit across runs over the
         # same reads — and never across different read sets.  A cache
         # namespace qualifies the tag so the owner of this pipeline can opt
         # out of cross-run reuse (each distinct tag evicts the previous
         # generation inside the rank processes).
-        cache_tag = readset.fingerprint() if config.pool else None
-        if cache_tag is not None and self.cache_namespace is not None:
-            cache_tag = f"{cache_tag}:{self.cache_namespace}"
-
-        start = time.perf_counter()
-        reports: list[RankReport] = spmd_run(
-            n_ranks,
-            run_rank_pipeline,
-            readset,
-            assignments,
-            config,
-            high_freq_threshold,
-            topology=topology,
-            trace=trace,
-            backend=config.backend,
-            pool=config.pool,
-            sanitize=config.sanitize,
-            faults=self._next_run_faults(),
-            cache_tag=cache_tag,
-        )
-        wall_seconds = time.perf_counter() - start
-
-        stages = self._build_stage_records(reports, n_ranks)
-        counters = self._aggregate_counters(reports)
-        counters["input_kmers"] = counters.get("kmers_parsed", 0)
-        counters["high_freq_threshold"] = high_freq_threshold
-        self._record_sketch_density(counters)
-
-        return PipelineResult(
-            config=config,
-            topology=topology,
-            trace=trace,
-            stages=stages,
-            rank_reports=reports,
-            counters=counters,
-            wall_seconds=wall_seconds,
-        )
+        cache_tag = (self._pool_cache_tag(readset.fingerprint())
+                     if self.config.pool else None)
+        result = self._launch(run_rank_pipeline, readset, cache_tag=cache_tag)
+        result.counters["input_kmers"] = result.counters.get("kmers_parsed", 0)
+        return result
 
     # -- build / serve phases -------------------------------------------------------
 
@@ -199,53 +161,15 @@ class DibellaPipeline:
         if len(readset) == 0:
             raise ValueError("cannot build an index from an empty read set")
         config = self.config
-        topology = self.topology
-        n_ranks = topology.n_ranks
-
-        assignments = partition_reads(readset, n_ranks, strategy=config.partition_strategy)
-        high_freq_threshold = config.resolve_high_freq_threshold(readset)
         index_tag = (f"{readset.fingerprint()}:k{config.kmer.k}"
-                     f":s{config.hash_table_shards}:r{n_ranks}"
+                     f":s{config.hash_table_shards}:r{self.topology.n_ranks}"
                      f":{self._seed_mode_tag(config)}")
-        trace = CommTrace(n_ranks)
-
-        start = time.perf_counter()
-        reports: list[RankReport] = spmd_run(
-            n_ranks,
-            run_index_build,
-            readset,
-            assignments,
-            config,
-            high_freq_threshold,
-            index_tag,
-            topology=topology,
-            trace=trace,
-            backend=config.backend,
-            pool=config.pool,
-            sanitize=config.sanitize,
-            faults=self._next_run_faults(),
-            cache_tag=self._pool_cache_tag(index_tag),
-        )
-        wall_seconds = time.perf_counter() - start
-
+        result = self._launch(run_index_build, readset, index_tag,
+                              stage_names=_INDEX_BUILD_STAGES,
+                              cache_tag=self._pool_cache_tag(index_tag))
         self._index_readset = readset
         self._index_tag = index_tag
-
-        stages = self._build_stage_records(reports, n_ranks,
-                                           stage_names=_INDEX_BUILD_STAGES)
-        counters = self._aggregate_counters(reports)
-        counters["high_freq_threshold"] = high_freq_threshold
-        self._record_sketch_density(counters)
-
-        return PipelineResult(
-            config=config,
-            topology=topology,
-            trace=trace,
-            stages=stages,
-            rank_reports=reports,
-            counters=counters,
-            wall_seconds=wall_seconds,
-        )
+        return result
 
     def run_query_batch(self, query_reads: ReadSet) -> PipelineResult:
         """Serve phase: align one batch of query reads against the resident index.
@@ -254,7 +178,7 @@ class DibellaPipeline:
         k-mers are routed to the owning index shards on the superstep
         scheduler, merged into the resident table per shard, expanded into
         **query-vs-index** pairs only, and aligned with the unmodified
-        two-hop fetch + x-drop stage.  The result's alignments are
+        read-exchange + x-drop stage.  The result's alignments are
         bit-identical to running the one-shot pipeline over (index reads ∪
         query batch) and keeping only its query-vs-index alignments; query
         RIDs in the result are ``n_index_reads + position`` within
@@ -271,12 +195,7 @@ class DibellaPipeline:
             )
         if len(query_reads) == 0:
             raise ValueError("cannot serve an empty query batch")
-        config = self.config
-        topology = self.topology
-        n_ranks = topology.n_ranks
         index_readset = self._index_readset
-        n_index_reads = len(index_readset)
-
         try:
             combined = ReadSet(list(index_readset) + list(query_reads))
         except ValueError as exc:
@@ -286,56 +205,75 @@ class DibellaPipeline:
                 "prefixes each submission's names"
             ) from exc
 
-        # Partition the *combined* set exactly as a one-shot run over it
-        # would: the union partition defines both the serve-phase read
+        # The combined set is partitioned exactly as a one-shot run over it
+        # would be: the union partition defines both the serve-phase read
         # ownership and the arrival-order emulation that makes the served
         # alignments bit-identical to that run's query-vs-index subset.
-        assignments = partition_reads(combined, n_ranks,
+        result = self._launch(
+            run_query_batch, combined, self._index_tag, len(index_readset),
+            stage_names=_QUERY_BATCH_STAGES,
+            # Query runs share the *index* generation's read caches: index
+            # reads stay warm across batches, and each batch's query RIDs
+            # are evicted on entry (RIDs >= n_index_reads are reused).
+            cache_tag=self._pool_cache_tag(self._index_tag),
+        )
+        result.counters["query_reads"] = len(query_reads)
+        return result
+
+    # -- launch + assembly ----------------------------------------------------------
+
+    def _launch(self, program: Callable[..., RankReport], readset: ReadSet,
+                *program_args: object,
+                stage_names: tuple[str, ...] = tuple(STAGE_NAMES),
+                cache_tag: str | None = None) -> PipelineResult:
+        """Partition *readset*, run *program* on every rank, assemble the result.
+
+        The one launch path of :meth:`run`, :meth:`build_index` and
+        :meth:`run_query_batch`.  Each rank runs ``program(comm, readset,
+        assignments, config, high_freq_threshold, *program_args,
+        cache_tag=cache_tag)``.  ``partition_reads`` and ``spmd_run`` are
+        looked up as module globals at call time, so instrumentation that
+        patches them (``perfbench``) sees every launch.
+        """
+        config = self.config
+        topology = self.topology
+        n_ranks = topology.n_ranks
+        assignments = partition_reads(readset, n_ranks,
                                       strategy=config.partition_strategy)
-        high_freq_threshold = config.resolve_high_freq_threshold(combined)
+        high_freq_threshold = config.resolve_high_freq_threshold(readset)
         trace = CommTrace(n_ranks)
 
         start = time.perf_counter()
         reports: list[RankReport] = spmd_run(
             n_ranks,
-            run_query_batch,
-            combined,
+            program,
+            readset,
             assignments,
-            n_index_reads,
             config,
             high_freq_threshold,
-            self._index_tag,
+            *program_args,
             topology=topology,
             trace=trace,
             backend=config.backend,
             pool=config.pool,
             sanitize=config.sanitize,
             faults=self._next_run_faults(),
-            # Query runs share the *index* generation's read caches: index
-            # reads stay warm across batches, and each batch's query RIDs
-            # are evicted on entry (RIDs >= n_index_reads are reused).
-            cache_tag=self._pool_cache_tag(self._index_tag),
+            cache_tag=cache_tag,
         )
         wall_seconds = time.perf_counter() - start
 
-        stages = self._build_stage_records(reports, n_ranks,
-                                           stage_names=_QUERY_BATCH_STAGES)
         counters = self._aggregate_counters(reports)
         counters["high_freq_threshold"] = high_freq_threshold
-        counters["query_reads"] = len(query_reads)
         self._record_sketch_density(counters)
-
         return PipelineResult(
             config=config,
             topology=topology,
             trace=trace,
-            stages=stages,
+            stages=self._build_stage_records(reports, n_ranks, stage_names),
             rank_reports=reports,
             counters=counters,
             wall_seconds=wall_seconds,
         )
-
-    # -- assembly helpers -----------------------------------------------------------
 
     @staticmethod
     def _build_stage_records(

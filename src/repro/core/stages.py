@@ -9,11 +9,17 @@ stage follows the structure of §§6-9 of the paper:
 * exchange with ``alltoallv``,
 * process the received data.
 
-Every stage's exchange loop runs on the shared
+The streamed exchange loops of stages 1-3 run on the shared
 :class:`~repro.core.supersteps.SuperstepSchedule`: the stages only provide
 produce/consume callbacks, and the scheduler owns global step-count
 agreement, the double-buffered split-phase schedule (with its
 bulk-synchronous fallback), and the exposed-vs-overlapped timer attribution.
+Stage 4 is the paper's single read exchange (one request and one response
+``alltoallv``) followed by independent local alignment.
+
+The serve phase (``run_index_build`` / ``run_query_batch``) is built from
+the same helpers: the occurrence exchange of stage 2, the sharded pair
+exchange and task builder of stage 3, and stage 4 unchanged.
 
 Wall time is measured separately for the compute and exchange parts of every
 stage (the paper's runtime-breakdown figures), and each stage accumulates the
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -32,7 +39,7 @@ from repro.align.batch import BatchAligner, TaskBatch
 from repro.align.read_cache import ReadCache
 from repro.core.config import PipelineConfig
 from repro.core.result import RankReport
-from repro.core.supersteps import StageTimer, SuperstepSchedule
+from repro.core.supersteps import ScheduleOutcome, StageTimer, SuperstepSchedule
 from repro.kmers.bloom import BloomFilter
 from repro.kmers.hashing import owner_of
 from repro.kmers.hashtable import (
@@ -57,6 +64,12 @@ from repro.seq.kmer import extract_kmers_batch
 from repro.seq.packing import PackedReadBlock, pack_read_block
 from repro.seq.records import ReadSet
 
+
+def _no_alignments() -> tuple[np.ndarray, ...]:
+    """Empty (rid_a, rid_b, score, span_a, span_b) accepted-alignment arrays."""
+    return tuple(np.empty(0, dtype=np.int64) for _ in range(5))
+
+
 @dataclass
 class _RankState:
     """Mutable per-rank state threaded through the stages."""
@@ -70,6 +83,9 @@ class _RankState:
     hashtable_built: bool = False
     overlaps: OverlapTable = field(default_factory=OverlapTable.empty)
     tasks: TaskBatch = field(default_factory=TaskBatch.empty)
+    #: Accepted alignments as (rid_a, rid_b, score, span_a, span_b) arrays,
+    #: filled by the alignment stage.
+    accepted: tuple[np.ndarray, ...] = field(default_factory=_no_alignments)
     read_cache: ReadCache = field(default_factory=ReadCache)
     timers: dict[str, StageTimer] = field(default_factory=dict)
     work: dict[str, float] = field(default_factory=dict)
@@ -152,6 +168,48 @@ def _build_read_owner(readset: ReadSet, assignments: list[list[int]]) -> np.ndar
     return read_owner
 
 
+def _rank_state(
+    comm: SimCommunicator,
+    readset: ReadSet,
+    assignments: list[list[int]],
+    config: PipelineConfig,
+    high_freq_threshold: int,
+    read_cache: ReadCache,
+    local_rids: list[int] | None = None,
+) -> _RankState:
+    """A fresh rank state; *local_rids* defaults to this rank's whole assignment."""
+    return _RankState(
+        config=config,
+        readset=readset,
+        local_rids=(list(assignments[comm.rank]) if local_rids is None
+                    else local_rids),
+        read_owner=_build_read_owner(readset, assignments),
+        high_freq_threshold=high_freq_threshold,
+        read_cache=read_cache,
+    )
+
+
+def _rank_report(comm: SimCommunicator, state: _RankState) -> RankReport:
+    """The rank's report: its counters, timers, overlaps and accepted alignments."""
+    timers = state.timers.items()
+    rid_a, rid_b, score, span_a, span_b = state.accepted
+    return RankReport(
+        rank=comm.rank,
+        stage_work=dict(state.work),
+        stage_bytes=dict(state.local_bytes),
+        stage_compute_seconds={name: t.compute_seconds for name, t in timers},
+        stage_exchange_seconds={name: t.exchange_seconds for name, t in timers},
+        counters=dict(state.counters),
+        overlaps=state.overlaps,
+        aln_rid_a=rid_a,
+        aln_rid_b=rid_b,
+        aln_score=score,
+        aln_span_a=span_a,
+        aln_span_b=span_b,
+        stage_overlapped_seconds={name: t.overlapped_seconds for name, t in timers},
+    )
+
+
 def _local_batches(local_rids: list[int], batch_reads: int) -> list[list[int]]:
     """Split this rank's RIDs into streaming batches of at most batch_reads."""
     return [local_rids[i : i + batch_reads] for i in range(0, len(local_rids), batch_reads)]
@@ -203,6 +261,95 @@ def _extract_batch_kmers(
         rid_arr = np.asarray(rids, dtype=np.int64)[read_index]
         return codes, rid_arr, positions, strands
     return codes, empty_i, empty_i.copy(), np.empty(0, dtype=bool)
+
+
+def _pack_occurrences(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
+                      strands: np.ndarray) -> np.ndarray:
+    """k-mer occurrences as (n, 2) uint64 wire rows: (code, packed metadata).
+
+    The metadata word holds the RID in the high 32 bits, the strand flag in
+    bit 31 and the position in the low 31 bits, which keeps the hash-table
+    exchange at 2 words per k-mer instance (the paper reports ~2.5x the
+    Bloom-filter stage volume, §7).
+    """
+    packed_meta = (
+        (rids.astype(np.uint64) << np.uint64(32))
+        | (strands.astype(np.uint64) << np.uint64(31))
+        | positions.astype(np.uint64)
+    )
+    return np.stack([codes, packed_meta], axis=1)
+
+
+def _unpack_occurrences(
+    rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of :func:`_pack_occurrences`: (codes, RIDs, positions, strands)."""
+    meta = rows[:, 1]
+    return (
+        rows[:, 0],
+        (meta >> np.uint64(32)).astype(np.int64),
+        (meta & np.uint64(0x7FFFFFFF)).astype(np.int64),
+        ((meta >> np.uint64(31)) & np.uint64(1)).astype(bool),
+    )
+
+
+def _occurrence_exchange(
+    comm: SimCommunicator,
+    state: _RankState,
+    rids: list[int],
+    timer: StageTimer,
+    label: str,
+    receive: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None],
+) -> tuple[int, int, int, ScheduleOutcome]:
+    """Route the k-mer occurrences of *rids* to their owner ranks.
+
+    Each superstep extracts one batch of ``config.batch_reads`` reads, packs
+    the occurrences (:func:`_pack_occurrences`) and ships them to the rank
+    owning each k-mer; ``receive(codes, rids, positions, strands)`` gets one
+    superstep's unpacked incoming occurrences, in source-rank order.  Stage 2
+    stores them in the hash table; a query batch routes its reads the same
+    way.
+
+    Returns ``(parsed, received, payload_bytes, outcome)``: occurrences
+    extracted locally, occurrences received, received wire bytes, and the
+    schedule outcome.
+    """
+    config = state.config
+    batches = _local_batches(rids, config.batch_reads)
+    parsed = 0
+    received_total = 0
+    payload_bytes = 0
+
+    def produce(step: int) -> list[np.ndarray]:
+        nonlocal parsed
+        batch = batches[step] if step < len(batches) else []
+        codes, rid_arr, pos_arr, strand_arr = _extract_batch_kmers(
+            state.readset, batch, config, with_positions=True,
+            counters=state.counters,
+        )
+        parsed += int(codes.size)
+        if codes.size:
+            return bucket_by_destination(
+                _pack_occurrences(codes, rid_arr, pos_arr, strand_arr),
+                owner_of(codes, comm.size), comm.size)
+        return [np.empty((0, 2), dtype=np.uint64) for _ in range(comm.size)]
+
+    def consume(step: int, received: list) -> None:
+        nonlocal received_total, payload_bytes
+        chunks = [np.asarray(c, dtype=np.uint64) for c in received
+                  if np.asarray(c).size]
+        payload_bytes += sum(int(c.nbytes) for c in chunks)
+        if chunks:
+            incoming = np.concatenate(chunks, axis=0)
+            received_total += int(incoming.shape[0])
+            receive(*_unpack_occurrences(incoming))
+
+    schedule = SuperstepSchedule(
+        comm, timer, len(batches),
+        double_buffer=config.double_buffer, label=label,
+    )
+    outcome = schedule.run(produce, consume)
+    return parsed, received_total, payload_bytes, outcome
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +486,13 @@ def bloom_filter_stage(comm: SimCommunicator, state: _RankState) -> None:
     # Schedule flags: functions of the config and batch layout only, so they
     # stay bit-identical across runtime backends (the counter-parity
     # invariant) — like the overlap stage's counterparts.
-    state.counters["bloom_exchange_double_buffered"] = int(outcome.double_buffered)
     state.counters["bloom_steps_overlapped"] = outcome.steps_overlapped
     if comm.rank == 0:
-        # Identical on every rank after the allreduce; recorded once so the
-        # summed global counters report the estimate itself.
+        # Identical on every rank (the estimate after the allreduce, the flag
+        # by step-count agreement); recorded once so the summed global
+        # counters report the value itself.
         state.counters["hll_distinct_estimate"] = int(round(distinct_estimate))
+        state.counters["bloom_exchange_double_buffered"] = int(outcome.double_buffered)
 
 
 # ---------------------------------------------------------------------------
@@ -385,59 +533,18 @@ def hash_table_stage(comm: SimCommunicator, state: _RankState) -> None:
         holds the buffered occurrences ready for the sharded finalise and
         ``state.hashtable_built`` is set.
     """
-    config = state.config
-    timer = state.timer("hashtable")
     comm.set_phase("hashtable_exchange")
-
-    batches = _local_batches(state.local_rids, config.batch_reads)
-
-    occurrences_received = 0
     occurrences_stored = 0
-    payload_bytes = 0
 
-    def produce(step: int) -> list[np.ndarray]:
-        rids = batches[step] if step < len(batches) else []
-        codes, rid_arr, pos_arr, strand_arr = _extract_batch_kmers(
-            state.readset, rids, config, with_positions=True,
-            counters=state.counters,
-        )
-        if codes.size:
-            owners = owner_of(codes, comm.size)
-            # Pack (RID, strand, position) into one word: RID in the high
-            # 32 bits, the strand flag in bit 31, the position in the low
-            # 31 bits.  This keeps the hash-table exchange at 2 words per
-            # k-mer instance (the paper reports ~2.5x the Bloom-filter
-            # stage volume, §7).
-            packed_meta = (
-                (rid_arr.astype(np.uint64) << np.uint64(32))
-                | (strand_arr.astype(np.uint64) << np.uint64(31))
-                | pos_arr.astype(np.uint64)
-            )
-            payload = np.stack([codes, packed_meta], axis=1)
-            return bucket_by_destination(payload, owners, comm.size)
-        return [np.empty((0, 2), dtype=np.uint64) for _ in range(comm.size)]
+    def store(codes: np.ndarray, rids: np.ndarray, positions: np.ndarray,
+              strands: np.ndarray) -> None:
+        nonlocal occurrences_stored
+        occurrences_stored += state.hashtable.add_occurrences(
+            codes, rids, positions, strands)
 
-    def consume(step: int, received: list) -> None:
-        nonlocal occurrences_received, occurrences_stored, payload_bytes
-        chunks = [np.asarray(c, dtype=np.uint64) for c in received
-                  if np.asarray(c).size]
-        payload_bytes += sum(int(c.nbytes) for c in chunks)
-        if chunks:
-            incoming = np.concatenate(chunks, axis=0)
-            occurrences_received += int(incoming.shape[0])
-            meta = incoming[:, 1]
-            occurrences_stored += state.hashtable.add_occurrences(
-                incoming[:, 0],
-                (meta >> np.uint64(32)).astype(np.int64),
-                (meta & np.uint64(0x7FFFFFFF)).astype(np.int64),
-                ((meta >> np.uint64(31)) & np.uint64(1)).astype(bool),
-            )
-
-    schedule = SuperstepSchedule(
-        comm, timer, len(batches),
-        double_buffer=config.double_buffer, label="hashtable",
-    )
-    outcome = schedule.run(produce, consume)
+    _, occurrences_received, payload_bytes, outcome = _occurrence_exchange(
+        comm, state, state.local_rids, state.timer("hashtable"), "hashtable",
+        store)
 
     state.hashtable_built = True
     state.work["hashtable"] = float(occurrences_received)
@@ -445,13 +552,158 @@ def hash_table_stage(comm: SimCommunicator, state: _RankState) -> None:
     state.counters["kmers_received_hashtable"] = occurrences_received
     state.counters["occurrences_stored"] = occurrences_stored
     state.counters["hashtable_payload_bytes"] = payload_bytes
-    state.counters["hashtable_exchange_double_buffered"] = int(outcome.double_buffered)
     state.counters["hashtable_steps_overlapped"] = outcome.steps_overlapped
+    if comm.rank == 0:
+        state.counters["hashtable_exchange_double_buffered"] = int(outcome.double_buffered)
 
 
 # ---------------------------------------------------------------------------
 # Stage 3: overlap detection (§8, Algorithm 1)
 # ---------------------------------------------------------------------------
+
+@dataclass
+class _PairTally:
+    """What one rank's sharded pair exchange built and generated."""
+
+    retained_kmers: int = 0
+    retained_occurrences: int = 0
+    retained_peak_bytes: int = 0
+    pairs_generated: int = 0
+    pairs_sent: int = 0
+
+
+def _tasks_from_pairs(pairs: PairBatch,
+                      config: PipelineConfig) -> tuple[OverlapTable, TaskBatch]:
+    """Consolidate received pairs into the overlap table and its alignment tasks.
+
+    The seed-selection constraint is applied batched over every pair at
+    once, and the selected seeds are gathered into one flat task batch.
+    """
+    table = OverlapTable.from_pairs(pairs)
+    selected = select_seeds_batched(table, config.seed_strategy)
+    pair_of_seed = np.searchsorted(table.seed_offsets, selected, side="right") - 1
+    tasks = TaskBatch(
+        rid_a=table.rid_a[pair_of_seed],
+        rid_b=table.rid_b[pair_of_seed],
+        seed_pos_a=table.seed_pos_a[selected],
+        seed_pos_b=table.seed_pos_b[selected],
+        same_strand=table.seed_same_strand[selected],
+    )
+    return table, tasks
+
+
+def _pair_exchange(
+    comm: SimCommunicator,
+    state: _RankState,
+    shards: Iterator[RetainedKmers],
+    shard_timer: StageTimer,
+    label: str,
+    keep: Callable[[PairBatch], np.ndarray] | None = None,
+) -> _PairTally:
+    """Stream every shard's pairs to their owner ranks, then build the tasks.
+
+    The body of stage 3, shared by the one-shot run and a query batch.
+    *shards* yields one :class:`RetainedKmers` per code-range shard; each
+    ``next()`` runs under ``shard_timer.compute()``.  A shard is consumed
+    (chunked, generated, exchanged) and released before the next is built,
+    so at most one shard's grouped table is live.  *label* names the
+    schedule (fault plans and the sanitizer match on it).  *keep*, when
+    given, maps a generated pair batch to the mask of pairs to send; owners
+    are chosen before the filter so the ``swapped`` annotation still counts.
+
+    On return ``state.overlaps`` / ``state.tasks`` hold the consolidated
+    table and its tasks, and the stage-3 counters both paths report are
+    written; the returned tally carries the rest.
+    """
+    config = state.config
+    timer = state.timer("overlap")
+    comm.set_phase("overlap_exchange")
+    tally = _PairTally()
+    total_chunks = 0
+    total_supersteps = 0
+    chunks_overlapped = 0
+    payload_bytes = 0
+    received_batches: list[PairBatch] = []
+
+    def consume(step: int, received: list) -> None:
+        nonlocal payload_bytes
+        payload_bytes += sum(int(np.asarray(c).nbytes) for c in received)
+        received_batches.extend(
+            PairBatch.from_matrix(np.asarray(c)) for c in received
+        )
+
+    def stream_shard(retained: RetainedKmers,
+                     chunks: list[tuple[int, int]]) -> ScheduleOutcome:
+        """Run one shard's chunked pair exchange as a schedule instance.
+
+        The produce closure lives only inside this call frame, so the shard
+        it captures is actually freed when the caller drops its reference —
+        a longer-lived closure would silently keep two shards alive at once.
+        """
+
+        def produce(step: int) -> list[np.ndarray]:
+            if step < len(chunks):
+                pairs = generate_pairs(retained, kmer_range=chunks[step])
+            else:
+                pairs = PairBatch.empty()
+            tally.pairs_generated += len(pairs)
+            if not len(pairs):
+                return [np.empty((0, 5), dtype=np.int64) for _ in range(comm.size)]
+            destinations = choose_owner(
+                pairs.rid_a, pairs.rid_b, state.read_owner,
+                heuristic=config.owner_heuristic, swapped=pairs.swapped,
+            )
+            rows = pairs.to_matrix()
+            if keep is not None:
+                mask = keep(pairs)
+                rows, destinations = rows[mask], destinations[mask]
+            tally.pairs_sent += int(rows.shape[0])
+            return bucket_by_destination(rows, destinations, comm.size)
+
+        schedule = SuperstepSchedule(
+            comm, timer, len(chunks), double_buffer=config.double_buffer,
+            label=label,
+        )
+        return schedule.run(produce, consume)
+
+    while True:
+        with shard_timer.compute():
+            retained = next(shards, None)
+            if retained is None:
+                break
+            tally.retained_kmers += retained.n_kmers
+            tally.retained_occurrences += retained.n_occurrences
+            tally.retained_peak_bytes = max(
+                tally.retained_peak_bytes,
+                retained.rids.nbytes + retained.positions.nbytes,
+            )
+        with timer.compute():
+            chunks = pair_chunk_ranges(retained, config.exchange_chunk_bytes)
+        outcome = stream_shard(retained, chunks)
+        total_chunks += len(chunks)
+        total_supersteps += outcome.n_supersteps
+        chunks_overlapped += outcome.steps_overlapped
+        retained = None  # release the shard before building the next one
+
+    with timer.compute():
+        state.overlaps, state.tasks = _tasks_from_pairs(
+            PairBatch.concatenate(received_batches), config)
+
+    state.work["overlap"] = float(tally.retained_occurrences + tally.pairs_generated)
+    state.counters["retained_kmers"] = tally.retained_kmers
+    state.counters["retained_occurrences"] = tally.retained_occurrences
+    state.counters["overlap_pairs"] = len(state.overlaps)
+    state.counters["alignment_tasks"] = len(state.tasks)
+    state.counters["overlap_exchange_chunks"] = total_chunks
+    state.counters["overlap_payload_bytes"] = payload_bytes
+    # Functions of the config and the chunk/shard layout only, so they stay
+    # bit-identical across runtime backends (the counter-parity invariant).
+    state.counters["overlap_chunks_overlapped"] = chunks_overlapped
+    if comm.rank == 0:
+        state.counters["overlap_exchange_double_buffered"] = int(
+            config.double_buffer and total_supersteps > 0)
+    return tally
+
 
 def overlap_stage(comm: SimCommunicator, state: _RankState) -> None:
     """Stage 3: form all read pairs per retained k-mer and route them to owners.
@@ -489,128 +741,22 @@ def overlap_stage(comm: SimCommunicator, state: _RankState) -> None:
     not a semantic one.
     """
     config = state.config
-    timer = state.timer("overlap")
-    ht_timer = state.timer("hashtable")
-    comm.set_phase("overlap_exchange")
     assert state.hashtable_built, "hash_table_stage must run before overlap_stage"
-
-    n_shards = config.hash_table_shards
-    double_buffer = config.double_buffer
-    shard_iter = state.hashtable.finalize_shards(
-        shard_code_boundaries(config.kmer.k, n_shards),
+    ht_timer = state.timer("hashtable")
+    shards = state.hashtable.finalize_shards(
+        shard_code_boundaries(config.kmer.k, config.hash_table_shards),
         min_count=config.min_kmer_count, max_count=state.high_freq_threshold,
     )
+    # Building each shard's slice of the retained table is hash-table stage
+    # work, so the build lands in that stage's compute timer.
+    tally = _pair_exchange(comm, state, shards, ht_timer, "overlap")
 
-    pairs_generated = 0
-    retained_kmers = 0
-    retained_occurrences = 0
-    retained_local_peak = 0
-    total_chunks = 0
-    total_supersteps = 0
-    chunks_overlapped = 0
-    payload_bytes = 0
-    received_batches: list[PairBatch] = []
-
-    def make_send(retained: RetainedKmers, chunks: list[tuple[int, int]],
-                  step: int) -> tuple[list[np.ndarray], int]:
-        """Expand chunk *step* of one shard into per-destination send buffers."""
-        if step < len(chunks):
-            pairs = generate_pairs(retained, kmer_range=chunks[step])
-        else:
-            pairs = PairBatch.empty()
-        if len(pairs):
-            destinations = choose_owner(
-                pairs.rid_a, pairs.rid_b, state.read_owner,
-                heuristic=config.owner_heuristic, swapped=pairs.swapped,
-            )
-            send = bucket_by_destination(pairs.to_matrix(), destinations, comm.size)
-        else:
-            send = [np.empty((0, 5), dtype=np.int64) for _ in range(comm.size)]
-        return send, len(pairs)
-
-    def consume(step: int, received: list) -> None:
-        nonlocal payload_bytes
-        payload_bytes += sum(int(np.asarray(c).nbytes) for c in received)
-        received_batches.extend(
-            PairBatch.from_matrix(np.asarray(c)) for c in received
-        )
-
-    def stream_shard(retained: RetainedKmers, chunks: list[tuple[int, int]]):
-        """Run one shard's chunked pair exchange as a schedule instance.
-
-        The produce closure lives only inside this call frame, so the shard
-        it captures is actually freed when the caller drops its reference —
-        a longer-lived closure would silently keep two shards alive at once.
-        """
-        nonlocal pairs_generated
-
-        def produce(step: int) -> list[np.ndarray]:
-            nonlocal pairs_generated
-            send, n_pairs = make_send(retained, chunks, step)
-            pairs_generated += n_pairs
-            return send
-
-        schedule = SuperstepSchedule(
-            comm, timer, len(chunks), double_buffer=double_buffer, label="overlap",
-        )
-        return schedule.run(produce, consume)
-
-    for _shard in range(n_shards):
-        # Build this shard's slice of the retained table (hash-table stage
-        # work, so the build lands in that stage's compute timer), stream its
-        # pairs, then release it before the next shard is built — the
-        # build → pair-generation → release pipeline that bounds peak table
-        # memory at one shard.
-        with ht_timer.compute():
-            retained = next(shard_iter)
-            retained_kmers += retained.n_kmers
-            retained_occurrences += retained.n_occurrences
-            retained_local_peak = max(
-                retained_local_peak,
-                retained.rids.nbytes + retained.positions.nbytes,
-            )
-        with timer.compute():
-            chunks = pair_chunk_ranges(retained, config.exchange_chunk_bytes)
-        outcome = stream_shard(retained, chunks)
-        total_chunks += len(chunks)
-        total_supersteps += outcome.n_supersteps
-        chunks_overlapped += outcome.steps_overlapped
-        retained = None  # release the shard before building the next one
-
-    use_double_buffer = bool(double_buffer) and total_supersteps > 0
-
-    with timer.compute():
-        incoming = PairBatch.concatenate(received_batches)
-        table = OverlapTable.from_pairs(incoming)
-        state.overlaps = table
-        # Apply the seed-selection constraint, batched over every pair at
-        # once, and gather the selected seeds into a flat task batch.
-        selected = select_seeds_batched(table, config.seed_strategy)
-        pair_of_seed = np.searchsorted(table.seed_offsets, selected, side="right") - 1
-        state.tasks = TaskBatch(
-            rid_a=table.rid_a[pair_of_seed],
-            rid_b=table.rid_b[pair_of_seed],
-            seed_pos_a=table.seed_pos_a[selected],
-            seed_pos_b=table.seed_pos_b[selected],
-            same_strand=table.seed_same_strand[selected],
-        )
-
-    state.work["overlap"] = float(retained_occurrences + pairs_generated)
-    state.local_bytes["overlap"] = float(retained_local_peak + 32 * pairs_generated)
-    state.counters["retained_kmers"] = retained_kmers
-    state.counters["retained_occurrences"] = retained_occurrences
-    state.counters["hash_table_shards"] = n_shards
+    state.local_bytes["overlap"] = float(tally.retained_peak_bytes
+                                         + 32 * tally.pairs_generated)
     state.counters["retained_table_peak_bytes"] = state.hashtable.retained_peak_nbytes
-    state.counters["pairs_generated"] = pairs_generated
-    state.counters["overlap_pairs"] = len(state.overlaps)
-    state.counters["alignment_tasks"] = len(state.tasks)
-    state.counters["overlap_exchange_chunks"] = total_chunks
-    state.counters["overlap_payload_bytes"] = payload_bytes
-    # All of these are functions of the config and the chunk/shard layout
-    # only, so they stay bit-identical across runtime backends (the
-    # counter-parity invariant).
-    state.counters["overlap_exchange_double_buffered"] = int(use_double_buffer)
-    state.counters["overlap_chunks_overlapped"] = chunks_overlapped
+    state.counters["pairs_generated"] = tally.pairs_generated
+    if comm.rank == 0:
+        state.counters["hash_table_shards"] = config.hash_table_shards
 
 
 # ---------------------------------------------------------------------------
@@ -651,16 +797,6 @@ def _build_read_block(
     return pack_read_block(rids, code_arrays)
 
 
-def _read_block_payload_bytes(block: PackedReadBlock) -> tuple[int, int]:
-    """(ASCII-equivalent bytes, actual wire payload bytes) of one read block.
-
-    The sequence payload only — headers (RIDs, lengths) are excluded from
-    both numbers, so the pair isolates exactly what the 2-bit packing
-    compresses.
-    """
-    return block.raw_nbytes, int(block.packed.nbytes)
-
-
 def _unpack_read_block(block: PackedReadBlock, cache: ReadCache) -> int:
     """Insert a received read block into the per-rank read cache.
 
@@ -675,63 +811,15 @@ def _unpack_read_block(block: PackedReadBlock, cache: ReadCache) -> int:
     return block.n_reads
 
 
-def _alignment_task_slices(n_tasks: int,
-                           batch_tasks: int | None) -> list[tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` task ranges, one per fetch/align superstep.
-
-    ``None`` keeps the stage's original shape: one superstep covering every
-    task (and exactly one request/response exchange pair, even when the rank
-    has no tasks — every rank must issue the same collectives).
-    """
-    if batch_tasks is None or n_tasks <= batch_tasks:
-        return [(0, n_tasks)]
-    return [(lo, min(lo + batch_tasks, n_tasks))
-            for lo in range(0, n_tasks, batch_tasks)]
-
-
-def _first_need_requests(
-    tasks: TaskBatch,
-    task_slices: list[tuple[int, int]],
-    to_fetch: np.ndarray,
-) -> list[np.ndarray]:
-    """Partition *to_fetch* by the first task slice that needs each read.
-
-    Every RID is assigned to exactly one superstep — the earliest whose task
-    range references it — so each remote read is requested exactly once and
-    is guaranteed to be cached before any task touching it aligns.  The
-    partition is a pure function of the task batch and the fetch set, so the
-    request payloads (and therefore the trace) are identical across
-    schedules and backends.
-    """
-    if len(task_slices) == 1 or to_fetch.size == 0:
-        return [to_fetch] + [np.empty(0, dtype=np.int64)] * (len(task_slices) - 1)
-    # First task index referencing each RID: sort (rid, task index) pairs by
-    # rid then task index, and take the first position of each fetched RID.
-    all_rids = np.concatenate([tasks.rid_a, tasks.rid_b])
-    all_tidx = np.tile(np.arange(len(tasks), dtype=np.int64), 2)
-    order = np.lexsort((all_tidx, all_rids))
-    sorted_rids = all_rids[order]
-    first_tidx = all_tidx[order][np.searchsorted(sorted_rids, to_fetch)]
-    bounds = np.array([hi for _lo, hi in task_slices], dtype=np.int64)
-    first_slice = np.searchsorted(bounds, first_tidx, side="right")
-    return [to_fetch[first_slice == index] for index in range(len(task_slices))]
-
-
 def alignment_stage(comm: SimCommunicator, state: _RankState) -> BatchAligner:
     """Stage 4: fetch non-local reads, then align every task locally.
 
-    The read fetch is a **two-hop superstep schedule**
-    (:meth:`~repro.core.supersteps.SuperstepSchedule.run_two_hop`): each
-    superstep requests one task batch's missing reads from their owner ranks
-    (the *request* hop) and the owners serve the sequences back as typed
-    wire blocks (the *response* hop).  With
-    ``config.alignment_batch_tasks`` set, the tasks split into batches and
-    — under double buffering — batch ``i+1``'s requests are already in
-    flight while batch ``i``'s reads are unpacked and aligned; every remote
-    read is still requested exactly once (it is assigned to the first batch
-    that needs it), so the exchanged payloads are identical for every batch
-    size and schedule.  The default (``None``) is the paper's original
-    single request/response round.
+    The read fetch is one exchange round, as in the paper: every rank
+    requests the remote reads its tasks need from their owner ranks (the
+    ``alignment:request`` ``alltoallv``), and the owners serve the sequences
+    back as typed wire blocks (the ``alignment:response`` ``alltoallv``).
+    "Once the reads are communicated, the alignment computation can proceed
+    independently in parallel" (§9): every task is then aligned locally.
 
     The served blocks are **2-bit packed** (4 bases/byte,
     :class:`PackedReadBlock`) — cutting the phase's dominant payload ~4x —
@@ -753,7 +841,8 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> BatchAligner:
     comm:
         This rank's communicator (phase label ``"alignment_exchange"``).
     state:
-        The rank's mutable pipeline state (tasks from the overlap stage).
+        The rank's mutable pipeline state (tasks from the overlap stage); on
+        return ``state.accepted`` holds the accepted alignments.
 
     Returns
     -------
@@ -779,14 +868,8 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> BatchAligner:
             cache.put(rid, state.readset[rid].sequence)
         remote = needed[~is_local]
         to_fetch = cache.missing(remote)
-        # Plan the fetch supersteps: contiguous task batches, each remote
-        # read assigned to the first batch needing it.
-        task_slices = _alignment_task_slices(len(tasks), config.alignment_batch_tasks)
-        requests = _first_need_requests(tasks, task_slices, to_fetch)
-        sequences = cache.sequence_view()
         aligner = BatchAligner(
-            sequences=sequences,
-            kernel=config.kernel,
+            sequences=cache.sequence_view(),
             k=config.kmer.k,
             scoring=config.scoring,
             xdrop=config.xdrop,
@@ -794,60 +877,27 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> BatchAligner:
             min_score=config.min_alignment_score,
             cache=cache,
         )
-
-    read_payload_raw = 0
-    read_payload_wire = 0
-    results = []
-
-    def produce(step: int) -> list[np.ndarray]:
-        rids = (requests[step] if step < len(requests)
-                else np.empty(0, dtype=np.int64))
-        if rids.size:
-            # Group read requests by the rank owning each read.
-            return bucket_by_destination(rids, state.read_owner[rids], comm.size)
-        return [np.empty(0, dtype=np.int64) for _ in range(comm.size)]
-
-    def respond(step: int, incoming_requests: list) -> list:
-        # Serve requested read sequences back to each requesting rank as
-        # 2-bit packed typed blocks.
-        nonlocal read_payload_raw, read_payload_wire
+        # Group read requests by the rank owning each read.
+        requests = bucket_by_destination(to_fetch, state.read_owner[to_fetch],
+                                         comm.size)
+    with timer.exchange():
+        incoming = comm.alltoallv(requests, label="alignment:request")
+    with timer.compute():
+        # Serve the requested reads back to each requesting rank as 2-bit
+        # packed typed blocks.
         blocks = [
-            _build_read_block(np.asarray(incoming_requests[src], dtype=np.int64),
+            _build_read_block(np.asarray(incoming[src], dtype=np.int64),
                               state.readset, cache)
             for src in range(comm.size)
         ]
-        for block in blocks:
-            raw, wire = _read_block_payload_bytes(block)
-            read_payload_raw += raw
-            read_payload_wire += wire
-        return blocks
-
-    def consume(step: int, blocks: list) -> None:
+        read_payload_raw = sum(block.raw_nbytes for block in blocks)
+        read_payload_wire = sum(int(block.packed.nbytes) for block in blocks)
+    with timer.exchange():
+        blocks = comm.alltoallv(blocks, label="alignment:response")
+    with timer.compute():
         for block in blocks:
             _unpack_read_block(block, cache)
-        if step < len(task_slices):
-            lo, hi = task_slices[step]
-            if hi > lo:
-                batch = TaskBatch(
-                    rid_a=tasks.rid_a[lo:hi],
-                    rid_b=tasks.rid_b[lo:hi],
-                    seed_pos_a=tasks.seed_pos_a[lo:hi],
-                    seed_pos_b=tasks.seed_pos_b[lo:hi],
-                    same_strand=tasks.same_strand[lo:hi],
-                )
-                results.extend(aligner.align_all(batch))
-
-    schedule = SuperstepSchedule(
-        comm, timer, len(task_slices),
-        double_buffer=config.double_buffer, label="alignment",
-        # Unbatched, every rank has exactly one (possibly empty) fetch round,
-        # so the step count needs no agreement — and the stage's exchange
-        # pattern stays byte-identical to the original two-round fetch.
-        agree_step_count=config.alignment_batch_tasks is not None,
-    )
-    outcome = schedule.run_two_hop(produce, respond, consume)
-
-    with timer.compute():
+        results = aligner.align_all(tasks) if len(tasks) else []
         n_results = len(results)
         scores = np.fromiter((r.score for r in results), dtype=np.int64, count=n_results)
         spans_a = np.fromiter((r.span_a for r in results), dtype=np.int64, count=n_results)
@@ -861,9 +911,9 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> BatchAligner:
     # the cost-model input must not depend on the wire encoding.
     state.local_bytes["alignment"] = float(cache.bases_cached(needed))
     # Capacity trim happens only here, at stage exit: every task has aligned,
-    # so no read the fetch plan promised is still needed (a mid-stage evict
-    # would break that promise).  The eviction counters land in this run's
-    # delta below.
+    # so no read the fetch promised is still needed (a mid-stage evict would
+    # break that promise).  The eviction counters land in this run's delta
+    # below.
     cache.trim()
     state.counters["alignments"] = aligner.stats.alignments
     state.counters["accepted_alignments"] = aligner.stats.accepted
@@ -874,9 +924,6 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> BatchAligner:
     # crossed the exchange (~raw/4).
     state.counters["read_payload_raw_bytes"] = read_payload_raw
     state.counters["read_payload_wire_bytes"] = read_payload_wire
-    state.counters["alignment_fetch_rounds"] = outcome.n_supersteps
-    state.counters["alignment_exchange_double_buffered"] = int(outcome.double_buffered)
-    state.counters["alignment_steps_overlapped"] = outcome.steps_overlapped
     # spmdlint: disable=SL004 keys come from ReadCache.counters(), all five
     # declared as the read_cache_* group in repro.core.counters.
     state.counters.update({
@@ -884,7 +931,7 @@ def alignment_stage(comm: SimCommunicator, state: _RankState) -> BatchAligner:
         for name, value in cache.counters().items()
     })
 
-    state._accepted = (  # type: ignore[attr-defined]
+    state.accepted = (
         state.tasks.rid_a[accepted].astype(np.int64),
         state.tasks.rid_b[accepted].astype(np.int64),
         scores[accepted],
@@ -938,39 +985,13 @@ def run_rank_pipeline(
     RankReport
         The rank's counters, timers, overlaps and accepted alignments.
     """
-    read_owner = _build_read_owner(readset, assignments)
-
-    state = _RankState(
-        config=config,
-        readset=readset,
-        local_rids=list(assignments[comm.rank]),
-        read_owner=read_owner,
-        high_freq_threshold=high_freq_threshold,
-        read_cache=_acquire_read_cache(cache_tag, comm.rank),
-    )
-
+    state = _rank_state(comm, readset, assignments, config, high_freq_threshold,
+                        _acquire_read_cache(cache_tag, comm.rank))
     bloom_filter_stage(comm, state)
     hash_table_stage(comm, state)
     overlap_stage(comm, state)
     alignment_stage(comm, state)
-
-    accepted = getattr(state, "_accepted")
-    return RankReport(
-        rank=comm.rank,
-        stage_work=dict(state.work),
-        stage_bytes=dict(state.local_bytes),
-        stage_compute_seconds={name: t.compute_seconds for name, t in state.timers.items()},
-        stage_exchange_seconds={name: t.exchange_seconds for name, t in state.timers.items()},
-        counters=dict(state.counters),
-        overlaps=state.overlaps,
-        aln_rid_a=accepted[0],
-        aln_rid_b=accepted[1],
-        aln_score=accepted[2],
-        aln_span_a=accepted[3],
-        aln_span_b=accepted[4],
-        stage_overlapped_seconds={name: t.overlapped_seconds
-                                  for name, t in state.timers.items()},
-    )
+    return _rank_report(comm, state)
 
 
 # ---------------------------------------------------------------------------
@@ -1062,7 +1083,8 @@ def _index_hash_table(comm: SimCommunicator, state: _RankState) -> ShardedKmerIn
     return index
 
 
-def _index_report_counters(state: _RankState, index: ShardedKmerIndex) -> None:
+def _index_report_counters(comm: SimCommunicator, state: _RankState,
+                           index: ShardedKmerIndex) -> None:
     """Record the per-rank index shape counters on *state*."""
     config = state.config
     retained_kmers = 0
@@ -1079,30 +1101,8 @@ def _index_report_counters(state: _RankState, index: ShardedKmerIndex) -> None:
     state.counters["index_occurrences"] = index.n_occurrences
     state.counters["index_nbytes"] = index.nbytes
     state.counters["index_digest"] = index.digest()
-    state.counters["hash_table_shards"] = index.n_shards
-
-
-def _empty_rank_report(comm: SimCommunicator, state: _RankState) -> RankReport:
-    """A RankReport for a run that produced no overlaps or alignments."""
-    empty = np.empty(0, dtype=np.int64)
-    return RankReport(
-        rank=comm.rank,
-        stage_work=dict(state.work),
-        stage_bytes=dict(state.local_bytes),
-        stage_compute_seconds={name: t.compute_seconds
-                               for name, t in state.timers.items()},
-        stage_exchange_seconds={name: t.exchange_seconds
-                                for name, t in state.timers.items()},
-        counters=dict(state.counters),
-        overlaps=OverlapTable.empty(),
-        aln_rid_a=empty,
-        aln_rid_b=empty.copy(),
-        aln_score=empty.copy(),
-        aln_span_a=empty.copy(),
-        aln_span_b=empty.copy(),
-        stage_overlapped_seconds={name: t.overlapped_seconds
-                                  for name, t in state.timers.items()},
-    )
+    if comm.rank == 0:
+        state.counters["hash_table_shards"] = index.n_shards
 
 
 def run_index_build(
@@ -1131,29 +1131,22 @@ def run_index_build(
     content digest, comparable across backends even when the index itself
     lives in an unreachable worker process.
     """
-    read_owner = _build_read_owner(readset, assignments)
-    state = _RankState(
-        config=config,
-        readset=readset,
-        local_rids=list(assignments[comm.rank]),
-        read_owner=read_owner,
-        high_freq_threshold=high_freq_threshold,
-        read_cache=_acquire_read_cache(cache_tag, comm.rank),
-    )
+    state = _rank_state(comm, readset, assignments, config, high_freq_threshold,
+                        _acquire_read_cache(cache_tag, comm.rank))
     index = _index_hash_table(comm, state)
     _store_resident_index(index_tag, comm.rank, index)
-    _index_report_counters(state, index)
-    return _empty_rank_report(comm, state)
+    _index_report_counters(comm, state, index)
+    return _rank_report(comm, state)
 
 
 def run_query_batch(
     comm: SimCommunicator,
     readset: ReadSet,
     assignments: list[list[int]],
-    n_index_reads: int,
     config: PipelineConfig,
     high_freq_threshold: int,
     index_tag: str,
+    n_index_reads: int,
     cache_tag: str | None = None,
 ) -> RankReport:
     """Serve phase: align one query batch against the resident index.
@@ -1162,22 +1155,23 @@ def run_query_batch(
     is the combined set — index reads first (RIDs ``< n_index_reads``), the
     query batch after them — and *assignments* partitions the combined set
     exactly as a one-shot run over it would (the *emulated union run*).  The
-    batch flows through three stages:
+    batch flows through three stages, each built from the batch stages' own
+    helpers:
 
-    1. **Query route** — extract the local *query* reads' k-mers and ship
-       (code, RID, position, strand) to the owner ranks on the superstep
-       scheduler, exactly like stage 2 but only over the query reads
+    1. **Query route** — stage 2's occurrence exchange
+       (:func:`_occurrence_exchange`) over the local *query* reads only
        (``query_route`` timers/counters; the index reads are never
        re-parsed).
-    2. **Query overlap** — per code-range shard, merge the routed query
-       occurrences into the resident shard
+    2. **Query overlap** — stage 3's sharded pair exchange
+       (:func:`_pair_exchange`, schedule label ``query_overlap``): per
+       code-range shard, the routed query occurrences are merged into the
+       resident shard
        (:meth:`~repro.kmers.hashtable.ShardedKmerIndex.merged_shard`,
-       ordered by the emulated union run's arrival order), generate pairs,
-       keep only **query-vs-index** pairs (``rid_a < n_index_reads <=
-       rid_b`` — within-side pairs are not this batch's job), and exchange
-       them chunked/double-buffered like the batch overlap stage.
-    3. **Alignment** — the unmodified :func:`alignment_stage`: two-hop read
-       fetch + x-drop over the consolidated tasks.
+       ordered by the emulated union run's arrival order), and only
+       **query-vs-index** pairs (``rid_a < n_index_reads <= rid_b`` —
+       within-side pairs are not this batch's job) are exchanged.
+    3. **Alignment** — the unmodified :func:`alignment_stage`: one read
+       exchange + x-drop over the consolidated tasks.
 
     Ordering the merged occurrence groups by the union run's arrival order
     makes the surviving pair stream — and therefore the accepted alignments
@@ -1194,20 +1188,10 @@ def run_query_batch(
     reads are evicted from the (possibly pooled) read cache before the
     alignment stage caches this batch's.
     """
-    read_owner = _build_read_owner(readset, assignments)
-    local_rids = list(assignments[comm.rank])
     cache = _acquire_read_cache(cache_tag, comm.rank)
     cache.evict_rids_at_or_above(n_index_reads)
-
-    state = _RankState(
-        config=config,
-        readset=readset,
-        local_rids=local_rids,
-        read_owner=read_owner,
-        high_freq_threshold=high_freq_threshold,
-        read_cache=cache,
-    )
-
+    state = _rank_state(comm, readset, assignments, config, high_freq_threshold,
+                        cache)
     route_timer = state.timer("query_route")
     comm.set_phase("query_route_exchange")
 
@@ -1220,87 +1204,41 @@ def run_query_batch(
             np.array([0 if index is None else 1], dtype=np.int64), op="min")[0])
     if all_present:
         state.counters["index_reuse_hits"] = 1
-        state.counters["hash_table_shards"] = index.n_shards
     else:
         # Rebuild over the index reads only (their slots in the combined
         # partition still cover each exactly once).  Storage order does not
         # matter — merged_shard re-sorts by the union arrival order.
-        build_state = _RankState(
-            config=config,
-            readset=readset,
-            local_rids=[rid for rid in local_rids if rid < n_index_reads],
-            read_owner=read_owner,
-            high_freq_threshold=high_freq_threshold,
-            read_cache=cache,
+        build_state = _rank_state(
+            comm, readset, assignments, config, high_freq_threshold, cache,
+            local_rids=[rid for rid in state.local_rids if rid < n_index_reads],
         )
         index = _index_hash_table(comm, build_state)
         _store_resident_index(index_tag, comm.rank, index)
         state.counters["index_build_runs"] = 1
-        state.counters["hash_table_shards"] = index.n_shards
         for name in ("work", "local_bytes", "counters"):
             getattr(state, name).update(getattr(build_state, name))
         state.timers.update(build_state.timers)
         comm.set_phase("query_route_exchange")
+    if comm.rank == 0:
+        state.counters["hash_table_shards"] = index.n_shards
 
     # -- stage Q1: route the query batch's k-mers to their owner ranks ------
-    local_query_rids = [rid for rid in local_rids if rid >= n_index_reads]
-    batches = _local_batches(local_query_rids, config.batch_reads)
-
-    query_kmers_parsed = 0
-    query_kmers_routed = 0
-    route_payload_bytes = 0
-    received_meta: list[np.ndarray] = []
-
-    def route_produce(step: int) -> list[np.ndarray]:
-        nonlocal query_kmers_parsed
-        rids = batches[step] if step < len(batches) else []
-        # The sketch funnel: query k-mers are reduced with the same (k, w)
-        # the index build used, so build and serve see consistent seed sets.
-        codes, rid_arr, pos_arr, strand_arr = _extract_batch_kmers(
-            state.readset, rids, config, with_positions=True,
-            counters=state.counters,
-        )
-        query_kmers_parsed += int(codes.size)
-        if codes.size:
-            owners = owner_of(codes, comm.size)
-            packed_meta = (
-                (rid_arr.astype(np.uint64) << np.uint64(32))
-                | (strand_arr.astype(np.uint64) << np.uint64(31))
-                | pos_arr.astype(np.uint64)
-            )
-            payload = np.stack([codes, packed_meta], axis=1)
-            return bucket_by_destination(payload, owners, comm.size)
-        return [np.empty((0, 2), dtype=np.uint64) for _ in range(comm.size)]
-
-    def route_consume(step: int, received: list) -> None:
-        nonlocal query_kmers_routed, route_payload_bytes
-        chunks = [np.asarray(c, dtype=np.uint64) for c in received
-                  if np.asarray(c).size]
-        route_payload_bytes += sum(int(c.nbytes) for c in chunks)
-        if chunks:
-            incoming = np.concatenate(chunks, axis=0)
-            query_kmers_routed += int(incoming.shape[0])
-            received_meta.append(incoming)
-
-    route_schedule = SuperstepSchedule(
-        comm, route_timer, len(batches),
-        double_buffer=config.double_buffer, label="query_route",
-    )
-    route_outcome = route_schedule.run(route_produce, route_consume)
+    # The sketch funnel: query k-mers are reduced with the same (k, w) the
+    # index build used, so build and serve see consistent seed sets.
+    received: list[tuple[np.ndarray, ...]] = []
+    query_kmers_parsed, query_kmers_routed, route_payload_bytes, route_outcome = (
+        _occurrence_exchange(
+            comm, state, [rid for rid in state.local_rids if rid >= n_index_reads],
+            route_timer, "query_route", lambda *occurrences: received.append(occurrences),
+        ))
 
     with route_timer.compute():
-        if received_meta:
-            incoming = np.concatenate(received_meta, axis=0)
-            meta = incoming[:, 1]
-            q_codes = incoming[:, 0]
-            q_rids = (meta >> np.uint64(32)).astype(np.int64)
-            q_positions = (meta & np.uint64(0x7FFFFFFF)).astype(np.int64)
-            q_strands = ((meta >> np.uint64(31)) & np.uint64(1)).astype(bool)
+        if received:
+            q_codes, q_rids, q_positions, q_strands = (
+                np.concatenate(column) for column in zip(*received))
         else:
-            q_codes = np.empty(0, dtype=np.uint64)
-            q_rids = np.empty(0, dtype=np.int64)
-            q_positions = np.empty(0, dtype=np.int64)
-            q_strands = np.empty(0, dtype=bool)
+            q_codes, q_rids, q_positions, q_strands = _unpack_occurrences(
+                np.empty((0, 2), dtype=np.uint64))
         order_key = _union_order_key(assignments, len(readset), config.batch_reads)
         q_shard_of = np.searchsorted(index.boundaries, q_codes, side="right")
 
@@ -1309,66 +1247,15 @@ def run_query_batch(
     state.counters["query_kmers_parsed"] = query_kmers_parsed
     state.counters["query_kmers_routed"] = query_kmers_routed
     state.counters["query_route_payload_bytes"] = route_payload_bytes
-    state.counters["query_route_double_buffered"] = int(route_outcome.double_buffered)
     state.counters["query_route_steps_overlapped"] = route_outcome.steps_overlapped
+    if comm.rank == 0:
+        state.counters["query_route_double_buffered"] = int(route_outcome.double_buffered)
 
     # -- stage Q2: merged per-shard pair generation, cross pairs only -------
-    timer = state.timer("overlap")
-    comm.set_phase("overlap_exchange")
-    double_buffer = config.double_buffer
-
-    pairs_generated = 0
-    cross_pairs = 0
-    retained_kmers = 0
-    retained_occurrences = 0
-    total_chunks = 0
-    total_supersteps = 0
-    chunks_overlapped = 0
-    payload_bytes = 0
-    received_batches: list[PairBatch] = []
-
-    def consume(step: int, received: list) -> None:
-        nonlocal payload_bytes
-        payload_bytes += sum(int(np.asarray(c).nbytes) for c in received)
-        received_batches.extend(
-            PairBatch.from_matrix(np.asarray(c)) for c in received
-        )
-
-    def stream_shard(merged: RetainedKmers, chunks: list[tuple[int, int]]):
-        nonlocal pairs_generated, cross_pairs
-
-        def produce(step: int) -> list[np.ndarray]:
-            nonlocal pairs_generated, cross_pairs
-            if step < len(chunks):
-                pairs = generate_pairs(merged, kmer_range=chunks[step])
-            else:
-                pairs = PairBatch.empty()
-            pairs_generated += len(pairs)
-            if len(pairs):
-                # The batch's job is query-vs-index pairs only: rid_a <
-                # rid_b always holds, so a cross pair is exactly rid_a on
-                # the index side and rid_b on the query side.  Owner choice
-                # happens before the filter drops the swapped annotation.
-                destinations = choose_owner(
-                    pairs.rid_a, pairs.rid_b, state.read_owner,
-                    heuristic=config.owner_heuristic, swapped=pairs.swapped,
-                )
-                cross = (pairs.rid_a < n_index_reads) & (pairs.rid_b >= n_index_reads)
-                cross_pairs += int(cross.sum())
-                return bucket_by_destination(
-                    pairs.to_matrix()[cross], destinations[cross], comm.size)
-            return [np.empty((0, 5), dtype=np.int64) for _ in range(comm.size)]
-
-        schedule = SuperstepSchedule(
-            comm, timer, len(chunks), double_buffer=double_buffer,
-            label="query_overlap",
-        )
-        return schedule.run(produce, consume)
-
-    for shard in range(index.n_shards):
-        with route_timer.compute():
+    def merged_shards() -> Iterator[RetainedKmers]:
+        for shard in range(index.n_shards):
             in_shard = q_shard_of == shard
-            merged = index.merged_shard(
+            yield index.merged_shard(
                 shard,
                 q_codes[in_shard], q_rids[in_shard],
                 q_positions[in_shard], q_strands[in_shard],
@@ -1376,63 +1263,20 @@ def run_query_batch(
                 min_count=config.min_kmer_count,
                 max_count=high_freq_threshold,
             )
-            retained_kmers += merged.n_kmers
-            retained_occurrences += merged.n_occurrences
-        with timer.compute():
-            chunks = pair_chunk_ranges(merged, config.exchange_chunk_bytes)
-        outcome = stream_shard(merged, chunks)
-        total_chunks += len(chunks)
-        total_supersteps += outcome.n_supersteps
-        chunks_overlapped += outcome.steps_overlapped
-        merged = None  # release the merged shard before building the next
 
-    with timer.compute():
-        incoming_pairs = PairBatch.concatenate(received_batches)
-        table = OverlapTable.from_pairs(incoming_pairs)
-        state.overlaps = table
-        selected = select_seeds_batched(table, config.seed_strategy)
-        pair_of_seed = np.searchsorted(table.seed_offsets, selected, side="right") - 1
-        state.tasks = TaskBatch(
-            rid_a=table.rid_a[pair_of_seed],
-            rid_b=table.rid_b[pair_of_seed],
-            seed_pos_a=table.seed_pos_a[selected],
-            seed_pos_b=table.seed_pos_b[selected],
-            same_strand=table.seed_same_strand[selected],
-        )
+    def cross(pairs: PairBatch) -> np.ndarray:
+        # The batch's job is query-vs-index pairs only: rid_a < rid_b always
+        # holds, so a cross pair is exactly rid_a on the index side and rid_b
+        # on the query side.
+        return (pairs.rid_a < n_index_reads) & (pairs.rid_b >= n_index_reads)
 
-    state.work["overlap"] = float(retained_occurrences + pairs_generated)
-    state.local_bytes["overlap"] = float(32 * pairs_generated)
-    state.counters["retained_kmers"] = retained_kmers
-    state.counters["retained_occurrences"] = retained_occurrences
-    state.counters["query_pairs_generated"] = pairs_generated
-    state.counters["query_cross_pairs"] = cross_pairs
-    state.counters["overlap_pairs"] = len(state.overlaps)
-    state.counters["alignment_tasks"] = len(state.tasks)
-    state.counters["overlap_exchange_chunks"] = total_chunks
-    state.counters["overlap_payload_bytes"] = payload_bytes
-    state.counters["overlap_exchange_double_buffered"] = int(
-        bool(double_buffer) and total_supersteps > 0)
-    state.counters["overlap_chunks_overlapped"] = chunks_overlapped
+    # Merging a shard is query-route work, so it lands in that timer.
+    tally = _pair_exchange(comm, state, merged_shards(), route_timer,
+                           "query_overlap", keep=cross)
+    state.local_bytes["overlap"] = float(32 * tally.pairs_generated)
+    state.counters["query_pairs_generated"] = tally.pairs_generated
+    state.counters["query_cross_pairs"] = tally.pairs_sent
 
-    # -- stage Q3: the unmodified two-hop fetch + alignment -----------------
+    # -- stage Q3: the unmodified read exchange + alignment -----------------
     alignment_stage(comm, state)
-
-    accepted = getattr(state, "_accepted")
-    return RankReport(
-        rank=comm.rank,
-        stage_work=dict(state.work),
-        stage_bytes=dict(state.local_bytes),
-        stage_compute_seconds={name: t.compute_seconds
-                               for name, t in state.timers.items()},
-        stage_exchange_seconds={name: t.exchange_seconds
-                                for name, t in state.timers.items()},
-        counters=dict(state.counters),
-        overlaps=state.overlaps,
-        aln_rid_a=accepted[0],
-        aln_rid_b=accepted[1],
-        aln_score=accepted[2],
-        aln_span_a=accepted[3],
-        aln_span_b=accepted[4],
-        stage_overlapped_seconds={name: t.overlapped_seconds
-                                  for name, t in state.timers.items()},
-    )
+    return _rank_report(comm, state)

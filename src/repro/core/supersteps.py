@@ -1,22 +1,15 @@
-"""The unified superstep scheduler: one exchange engine for every stage.
+"""The unified superstep scheduler: one exchange engine for every streamed stage.
 
-All four pipeline stages are, at heart, the same loop: split the local work
-into chunks, and for each chunk *generate* per-destination send buffers,
-*publish* them with an ``alltoallv``, and *consume* what the peers sent.
+The streamed stages (1-3, and the serve phase's query route and query
+overlap) are, at heart, the same loop: split the local work into chunks,
+and for each chunk *generate* per-destination send buffers, *publish* them
+with an ``alltoallv``, and *consume* what the peers sent.
 :class:`SuperstepSchedule` owns that loop once — global step-count
 agreement, the double-buffered split-phase schedule (with its
 bulk-synchronous fallback), per-step trace accounting (inherited from the
 communicator), and the exposed-vs-overlapped timer attribution — so the
-stages only provide the produce/consume callbacks.
-
-Two schedule shapes cover the pipeline:
-
-* :meth:`SuperstepSchedule.run` — one exchange per superstep (stages 1-3:
-  the k-mer exchanges and the chunked pair exchange);
-* :meth:`SuperstepSchedule.run_two_hop` — two pipelined exchanges per
-  superstep, a *request* hop answered by a *response* hop (stage 4's
-  remote-read fetch: requests for batch ``i+1`` are in flight while batch
-  ``i``'s reads are unpacked and aligned).
+stages only provide the produce/consume callbacks.  Stage 4 is not
+streamed: its read fetch is a single request/response round (§9).
 
 Double buffering is a schedule change, not a semantic one: the payloads a
 consume callback receives, their order, and the trace volumes/call counts
@@ -41,10 +34,6 @@ ProduceFn = Callable[[int], Sequence[Any]]
 
 #: Consume one superstep's received payloads (in source-rank order).
 ConsumeFn = Callable[[int, list[Any]], None]
-
-#: Turn one superstep's received *request* payloads into the *response*
-#: payloads served back (two-hop schedules only).
-RespondFn = Callable[[int, list[Any]], Sequence[Any]]
 
 
 @dataclass
@@ -98,7 +87,7 @@ class ScheduleOutcome:
     ----------
     n_supersteps : int
         Globally agreed superstep count (the maximum over ranks' local step
-        counts; every rank ran exactly this many exchanges per hop).
+        counts; every rank ran exactly this many exchanges).
     steps_overlapped : int
         Number of steps whose produce callback ran while a previous step's
         exchange was still in flight — the latency the double buffer hid.
@@ -147,11 +136,6 @@ class SuperstepSchedule:
         stages' schedules colliding — raise
         :class:`~repro.mpisim.errors.CollectiveMismatchError` instead of
         silently mixing payloads.
-    agree_step_count : bool, optional
-        Agree on the global superstep count with one max-``allreduce``
-        (default).  Pass ``False`` only when ``n_local_steps`` is already
-        provably identical on every rank (e.g. a fixed single-round
-        schedule), which skips the extra collective.
 
     Notes
     -----
@@ -168,7 +152,6 @@ class SuperstepSchedule:
         *,
         double_buffer: bool = True,
         label: str | None = None,
-        agree_step_count: bool = True,
     ) -> None:
         self.comm = comm
         self.timer = timer
@@ -176,18 +159,13 @@ class SuperstepSchedule:
         # Global step-count agreement: every rank must run the same number
         # of supersteps (deliberately untimed — schedule bookkeeping, not
         # stage exchange time).
-        if agree_step_count:
-            self.n_supersteps = int(comm.allreduce(int(n_local_steps), op="max"))
-        else:
-            self.n_supersteps = int(n_local_steps)
+        self.n_supersteps = int(comm.allreduce(int(n_local_steps), op="max"))
         self.double_buffer = bool(double_buffer)
 
     @property
     def double_buffered(self) -> bool:
         """True when the split-phase schedule actually runs."""
         return self.double_buffer and self.n_supersteps > 0
-
-    # -- single-hop schedule -------------------------------------------------
 
     def run(self, produce: ProduceFn, consume: ConsumeFn) -> ScheduleOutcome:
         """Run every superstep: ``produce(i)`` → exchange → ``consume(i, received)``.
@@ -239,86 +217,4 @@ class SuperstepSchedule:
                     received = comm.alltoallv(send, label=self.label)
                 with timer.compute():
                     consume(step, received)
-        return ScheduleOutcome(n, overlapped, self.double_buffered)
-
-    # -- two-hop (request/response) schedule -----------------------------------
-
-    def run_two_hop(self, produce: ProduceFn, respond: RespondFn,
-                    consume: ConsumeFn) -> ScheduleOutcome:
-        """Run request/response supersteps, pipelining fetches ahead of consumes.
-
-        Each superstep is two exchanges: the *request* hop ships
-        ``produce(step)`` to the peers, and the *response* hop ships back
-        ``respond(step, requests)``.  Double-buffered, step ``i+1``'s
-        requests are published while step ``i``'s responses are still in
-        flight, and ``consume(i, responses)`` runs with that next fetch
-        outstanding — so (in the alignment stage) batch ``i`` aligns while
-        batch ``i+1``'s remote reads are already on the wire.
-
-        Parameters
-        ----------
-        produce : ProduceFn
-            ``produce(step)`` returns the request payloads for superstep
-            *step* (empty for padding steps).
-        respond : RespondFn
-            ``respond(step, requests)`` serves the received requests,
-            returning the response payloads (one per requesting rank).
-        consume : ConsumeFn
-            ``consume(step, responses)`` processes the served payloads.
-
-        Returns
-        -------
-        ScheduleOutcome
-            The agreed superstep count and overlap accounting
-            (``steps_overlapped`` counts request productions that ran with
-            an exchange in flight, mirroring :meth:`run`).
-        """
-        comm, timer = self.comm, self.timer
-        n = self.n_supersteps
-        overlapped = 0
-        request_label = f"{self.label}:request" if self.label else "request"
-        response_label = f"{self.label}:response" if self.label else "response"
-        if self.double_buffered:
-            with timer.compute():
-                send = produce(0)
-            with timer.exchange():
-                req_handle = comm.alltoallv_start(send, label=request_label)
-            for step in range(n):
-                with timer.exchange():
-                    requests = comm.alltoallv_finish(req_handle)
-                with timer.compute():
-                    responses = respond(step, requests)
-                with timer.exchange():
-                    resp_handle = comm.alltoallv_start(responses,
-                                                       label=response_label)
-                next_req = None
-                if step + 1 < n:
-                    # Publish the next batch's requests while this batch's
-                    # responses are still in flight.
-                    with timer.overlapped():
-                        send = produce(step + 1)
-                    overlapped += 1
-                    with timer.exchange():
-                        next_req = comm.alltoallv_start(send,
-                                                        label=request_label)
-                with timer.exchange():
-                    blocks = comm.alltoallv_finish(resp_handle)
-                # Consuming (unpacking + aligning) batch ``step`` overlaps
-                # batch ``step+1``'s in-flight fetch.
-                section = timer.overlapped() if next_req is not None else timer.compute()
-                with section:
-                    consume(step, blocks)
-                req_handle = next_req
-        else:
-            for step in range(n):
-                with timer.compute():
-                    send = produce(step)
-                with timer.exchange():
-                    requests = comm.alltoallv(send, label=request_label)
-                with timer.compute():
-                    responses = respond(step, requests)
-                with timer.exchange():
-                    blocks = comm.alltoallv(responses, label=response_label)
-                with timer.compute():
-                    consume(step, blocks)
         return ScheduleOutcome(n, overlapped, self.double_buffered)

@@ -57,9 +57,8 @@ _EXCHANGE_TIMEOUT = float(os.environ.get("DIBELLA_BARRIER_TIMEOUT", "600"))
 #: by ``seq % EXCHANGE_SLOTS``; ``alltoallv_start`` for superstep ``seq``
 #: blocks until every rank consumed superstep ``seq - EXCHANGE_SLOTS``.  Two
 #: slots are the classic double buffer and enough for every pipeline
-#: schedule (the two-hop request/response schedule keeps at most one
-#: response and one request outstanding); the engines are written against
-#: this constant, so deeper pipelines only need a bigger value here.
+#: schedule; the engines are written against this constant, so deeper
+#: pipelines only need a bigger value here.
 EXCHANGE_SLOTS = 2
 
 #: Engine op name of the sanitizer's congruence pre-check collective.  It is
@@ -78,8 +77,8 @@ def exchange_op_name(base: str, label: str | None) -> str:
     """The engine op name of an exchange, phase-labelled when *label* is set.
 
     Labelled ops (``"alltoallv[overlap]"``) make schedule collisions
-    loud: if two ranks reach different stages' exchanges — or a two-hop
-    schedule's request and response hops get out of step — the engines'
+    loud: if two ranks reach different stages' exchanges — or stage 4's
+    request and response exchanges get out of step — the engines'
     op-name validation raises :class:`CollectiveMismatchError` instead of
     silently handing one stage's payloads to another.
     """

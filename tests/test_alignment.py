@@ -281,7 +281,7 @@ class TestBatchAligner:
 
     def test_align_single_task(self):
         seqs = self._sequences()
-        aligner = BatchAligner(sequences=seqs, kernel="xdrop", k=17)
+        aligner = BatchAligner(sequences=seqs, k=17)
         task = AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=210, seed_pos_b=10)
         result = aligner.align(task)
         assert result.score > 50
@@ -290,7 +290,7 @@ class TestBatchAligner:
 
     def test_align_all_uses_batched_path(self):
         seqs = self._sequences()
-        aligner = BatchAligner(sequences=seqs, kernel="xdrop", k=17)
+        aligner = BatchAligner(sequences=seqs, k=17)
         tasks = [
             AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=210, seed_pos_b=10),
             AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=300, seed_pos_b=100),
@@ -324,13 +324,9 @@ class TestBatchAligner:
         with pytest.raises(KeyError):
             align_task(AlignmentTask(0, 99, 0, 0), {0: "ACGT"}, k=2)
 
-    def test_invalid_kernel(self):
-        with pytest.raises(ValueError):
-            BatchAligner(sequences={}, kernel="bogus")
-
     def test_min_score_accepts_counter(self):
         seqs = {0: "ACGT" * 50, 1: "TTTT" * 50}
-        aligner = BatchAligner(sequences=seqs, kernel="xdrop", k=4, min_score=30)
+        aligner = BatchAligner(sequences=seqs, k=4, min_score=30)
         aligner.align(AlignmentTask(0, 1, 0, 0))
         assert aligner.stats.alignments == 1
         assert aligner.stats.accepted == 0
@@ -351,10 +347,10 @@ class TestBatchAligner:
                           same_strand=False),
         ]
         solo_results = [
-            BatchAligner(sequences=seqs, kernel="xdrop", k=17).align_all([task])[0]
+            BatchAligner(sequences=seqs, k=17).align_all([task])[0]
             for task in tasks
         ]
-        batch_results = BatchAligner(sequences=seqs, kernel="xdrop", k=17).align_all(tasks)
+        batch_results = BatchAligner(sequences=seqs, k=17).align_all(tasks)
         for solo, batched in zip(solo_results, batch_results):
             assert solo.score == batched.score
             assert (solo.start_a, solo.end_a, solo.start_b, solo.end_b) == (
@@ -363,8 +359,8 @@ class TestBatchAligner:
     def test_align_matches_align_all_singleton(self):
         seqs = self._sequences()
         task = AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=210, seed_pos_b=10)
-        one = BatchAligner(sequences=seqs, kernel="xdrop", k=17).align(task)
-        all_one = BatchAligner(sequences=seqs, kernel="xdrop", k=17).align_all([task])[0]
+        one = BatchAligner(sequences=seqs, k=17).align(task)
+        all_one = BatchAligner(sequences=seqs, k=17).align_all([task])[0]
         assert one.score == all_one.score
 
     def test_band_defaults_agree_across_entry_points(self):
@@ -423,7 +419,7 @@ class TestTaskBatch:
         seqs = {0: genome[:400], 1: mutate(genome[200:], 0.1, seed=1)}
         batch = TaskBatch.from_tasks(
             [AlignmentTask(rid_a=0, rid_b=1, seed_pos_a=210, seed_pos_b=10)])
-        aligner = BatchAligner(sequences=seqs, kernel="xdrop", k=17)
+        aligner = BatchAligner(sequences=seqs, k=17)
         results = aligner.align_all(batch)
         assert len(results) == 1 and results[0].score > 30
 

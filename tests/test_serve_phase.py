@@ -8,10 +8,13 @@ counts — while touching zero index-build code paths after the first batch.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import AlignmentService, DibellaPipeline, PipelineConfig
+from repro.core.counters import PIPELINE_COUNTERS
 from repro.core.stages import reset_persistent_read_caches, reset_resident_indexes
 from repro.mpisim.backend import shutdown_rank_pools
 from repro.mpisim.topology import Topology
@@ -85,6 +88,39 @@ def test_served_batch_matches_one_shot_thread(micro_dataset, shards):
 @pytest.mark.parametrize("shards", [1, 4])
 def test_served_batch_matches_one_shot_process(micro_dataset, shards):
     _assert_parity(_config("process", shards, pool=True), micro_dataset.reads)
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_served_batch_matches_one_shot_many_supersteps(micro_dataset, shards):
+    """Many read batches and pair chunks per shard: the padded, chunked
+    query-route and pair exchanges still reproduce the one-shot subset."""
+    config = replace(_config("thread", shards), batch_reads=8,
+                     exchange_chunk_mb=0.001)
+    _assert_parity(config, micro_dataset.reads)
+
+
+def test_run_wide_counters_are_recorded_once(micro_dataset):
+    """Per-run facts (the shard count, the "1 if ..." schedule flags) are
+    written on rank 0 only, so summing the rank reports keeps their value."""
+    flags = [name for name, meaning in PIPELINE_COUNTERS.items()
+             if meaning.startswith("1 if")]
+    assert flags
+    config = _config("thread", 4)
+    topology = Topology.single_node(3)
+    index_reads, query_reads = _split(micro_dataset.reads,
+                                      (3 * len(micro_dataset.reads)) // 4)
+    try:
+        oneshot = DibellaPipeline(config=config, topology=topology).run(
+            micro_dataset.reads)
+        pipeline = DibellaPipeline(config=config, topology=topology)
+        built = pipeline.build_index(index_reads)
+        served = pipeline.run_query_batch(query_reads)
+        for result in (oneshot, built, served):
+            assert result.counters["hash_table_shards"] == config.hash_table_shards
+            for flag in flags:
+                assert result.counters.get(flag, 0) in (0, 1), flag
+    finally:
+        _cleanup()
 
 
 def test_second_batch_reuses_resident_index(micro_dataset):

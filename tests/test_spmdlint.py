@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.analysis.lint as lint_module
 from repro.analysis.lint import RULES, lint_paths, lint_source
 from repro.core.counters import (
     PIPELINE_COUNTERS,
@@ -293,12 +294,15 @@ class TestProjectLint:
         assert findings == []
         assert n_files > 50
 
-    def test_sl005_catches_unplumbed_knob(self, tmp_path):
-        # A synthetic repo: one knob has a CLI flag but no env/README row.
+    def test_sl005_catches_unplumbed_knob(self, tmp_path, monkeypatch):
+        # A synthetic repo: one knob has a CLI flag but no env/README row;
+        # a README row and a flag alias outlive a deleted knob.
         (tmp_path / "README.md").write_text(
             "| Knob | Config field | CLI | Env |\n"
             "|---|---|---|---|\n"
-            "| Window | `window` | `--window` | `DIBELLA_WINDOW` |\n")
+            "| Window | `window` | `--window` | `DIBELLA_WINDOW` |\n"
+            "| Gone | `removed_knob` | `--removed-knob` | `DIBELLA_REMOVED` |\n")
+        monkeypatch.setattr(lint_module, "_FLAG_ALIASES", {"stale_alias": "--stale"})
         pkg = tmp_path / "repro" / "core"
         pkg.mkdir(parents=True)
         (tmp_path / "repro" / "cli.py").write_text(textwrap.dedent("""
@@ -319,9 +323,14 @@ class TestProjectLint:
         """))
         findings, _ = lint_paths([tmp_path])
         sl005 = [finding for finding in findings if finding.rule == "SL005"]
-        assert len(sl005) == 1
-        assert "'depth'" in sl005[0].message
-        assert "env" in sl005[0].message and "README" in sl005[0].message
+        assert len(sl005) == 3
+        unplumbed = [f for f in sl005 if "'depth'" in f.message]
+        assert len(unplumbed) == 1
+        assert "env" in unplumbed[0].message and "README" in unplumbed[0].message
+        stale_row = [f for f in sl005 if "'removed_knob'" in f.message]
+        assert len(stale_row) == 1
+        assert stale_row[0].path.endswith("README.md") and stale_row[0].line == 4
+        assert any("'stale_alias'" in f.message for f in sl005)
 
 
 class TestCounterRegistry:

@@ -7,7 +7,10 @@
 #           SL001-SL005 over src/, zero findings required; plus a ruff
 #           companion pass (pinned ruff.toml) when a ruff binary is on
 #           PATH (the container does not ship one, so it is gated).
-#   fast  — unit tests only (-m "not slow"), a few seconds; run on every change.
+#   fast  — first checks that the compiled x-drop kernel builds and loads on
+#           this host (kernel_implementation() == "c"), so a silent NumPy
+#           fallback cannot hide a 10x slower alignment stage; then unit
+#           tests only (-m "not slow"), a few seconds; run on every change.
 #           Runs six times: under the default thread backend, under the
 #           multiprocess shared-memory backend (DIBELLA_BACKEND=process),
 #           under the process backend with the persistent rank pool
@@ -27,7 +30,9 @@
 #           every change.
 #   slow  — the end-to-end pipeline / harness / baseline tests, also under
 #           both runtime backends.
-#   bench — the perf gates: the overlap microbenchmark (pair generation,
+#   bench — the perf gates: the x-drop kernel microbenchmark (compiled
+#           kernel >= 5x the NumPy oracle's DP cells/s, single-threaded, so
+#           enforced on any host), the overlap microbenchmark (pair generation,
 #           consolidation and seed selection vs their loop oracles) and the
 #           backend scaling bench (process-backend overlap-stage speedup,
 #           double-buffered exposed-exchange reduction for the overlap and
@@ -63,6 +68,9 @@ else
     echo "== lint: ruff not on PATH; skipping companion pass =="
 fi
 
+echo "== kernel: the compiled x-drop kernel builds and loads (no NumPy fallback) =="
+python -c 'from repro.align.batched_xdrop import kernel_implementation as k; impl = k(); print("kernel:", impl); raise SystemExit(impl != "c")'
+
 echo "== fast tier: unit tests (thread backend) =="
 python -m pytest tests -m "not slow" -q
 
@@ -93,6 +101,9 @@ if [ "$tier" = "all" ]; then
 
     echo "== slow tier: end-to-end pipeline tests (process backend) =="
     DIBELLA_BACKEND=process python -m pytest tests -m slow -q
+
+    echo "== perf gate: x-drop kernel microbenchmark (compiled vs NumPy oracle) =="
+    python benchmarks/bench_xdrop_kernel.py
 
     echo "== perf gate: overlap microbenchmark =="
     python benchmarks/bench_overlap_microbench.py

@@ -13,6 +13,9 @@ and for the kernel-choice ablation:
 * :mod:`repro.align.xdrop` — seed-and-extend with x-drop termination
   ("terminate early when the alignment score drops significantly", §2),
   the production kernel.
+* :mod:`repro.align.batched_xdrop` — the banded x-drop extension the
+  pipeline runs, in compiled C (:mod:`repro.align.compiled_xdrop`, built on
+  first use) with its NumPy kernel as oracle and fallback.
 * :mod:`repro.align.batch` — a batch executor that runs a list of alignment
   tasks with the x-drop kernel and accumulates the DP-cell work counters the
   cost model needs (``align_task`` runs one task with any of the kernels).

@@ -145,9 +145,12 @@ class BatchStats:
 class BatchAligner:
     """Runs alignment tasks against a read-sequence lookup with the x-drop kernel.
 
-    The production executor always uses the task-batched banded x-drop
-    kernel; the ``banded`` and ``full`` kernels are ablation and oracle
-    entry points of :func:`align_task`.
+    The production executor always uses the banded x-drop extension of
+    :func:`repro.align.batched_xdrop.batched_extend`: the compiled C kernel
+    when it builds on this host, else the NumPy kernel, with identical
+    results (``kernel_implementation()`` says which); the ``banded`` and
+    ``full`` kernels are ablation and oracle entry points of
+    :func:`align_task`.
 
     Parameters
     ----------
@@ -193,10 +196,10 @@ class BatchAligner:
     def align_all(self, tasks: Iterable[AlignmentTask]) -> list[AlignmentResult]:
         """Run every task, returning results in task order.
 
-        *All* tasks — including singleton batches — are executed with the
-        task-batched banded kernel (:mod:`repro.align.batched_xdrop`), which
-        amortises the interpreter overhead over the whole batch and keeps
-        scores independent of batch size.
+        *All* tasks — including singleton batches — go through one
+        :func:`~repro.align.batched_xdrop.batched_extend` call per extension
+        direction, which crosses into the compiled kernel once per batch;
+        every result, ``cells`` included, is independent of batch size.
         """
         task_list = list(tasks)
         if not task_list:

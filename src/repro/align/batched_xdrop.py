@@ -24,14 +24,28 @@ the prefix-maximum identity
             = gap * j + running_max_j' <= j ( base[i, j'] - gap * j' )
 
 computed with ``np.maximum.accumulate`` along the band axis.
+
+:func:`batched_extend` runs that recurrence in compiled C
+(:mod:`repro.align.compiled_xdrop`, built on first use into a cache
+directory), one task at a time, with results bit-identical to this module's
+NumPy kernel.  The NumPy kernel (:func:`_batched_extend_numpy`) stays as the
+test oracle and as the fallback when no C compiler works;
+:func:`kernel_implementation` says which one runs.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.align.compiled_xdrop import (
+    CompiledXdrop,
+    KernelUnavailable,
+    fits_kernel,
+    load_kernel,
+)
 from repro.align.results import ExtensionResult
 from repro.align.scoring import ScoringScheme
 
@@ -83,6 +97,30 @@ def _pad_sequences(seqs: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+#: The compiled kernel once resolved, or the reason it is unavailable.
+_kernel: CompiledXdrop | str | None = None
+_kernel_lock = threading.Lock()
+
+
+def _compiled_kernel() -> CompiledXdrop | None:
+    """The compiled kernel, built or loaded on the first call of the process."""
+    global _kernel
+    with _kernel_lock:
+        if _kernel is None:
+            try:
+                _kernel = load_kernel()
+            except KernelUnavailable as exc:
+                _kernel = str(exc)
+    return _kernel if isinstance(_kernel, CompiledXdrop) else None
+
+
+def kernel_implementation() -> str:
+    """``"c"`` when the compiled kernel runs, else ``"numpy: <reason>"``."""
+    if _compiled_kernel() is not None:
+        return "c"
+    return f"numpy: {_kernel}"
+
+
 def batched_extend(
     seqs_a: list[np.ndarray],
     seqs_b: list[np.ndarray],
@@ -90,6 +128,13 @@ def batched_extend(
     config: BatchedExtensionConfig,
 ) -> list[ExtensionResult]:
     """Extend every (a, b) pair from its origin (0, 0), banded with x-drop.
+
+    Runs the compiled kernel when it is available and the NumPy kernel
+    otherwise, or when the parameters are too large for the compiled
+    kernel's integers (far beyond any realistic scheme, see
+    :func:`~repro.align.compiled_xdrop.fits_kernel`); both give the same
+    results.  Every task is independent of the others in its batch,
+    ``cells`` included (a task with an empty ``a`` costs 0 cells).
 
     Parameters
     ----------
@@ -105,6 +150,30 @@ def batched_extend(
     -------
     list[ExtensionResult]
         One result per task, in input order.
+    """
+    if len(seqs_a) != len(seqs_b):
+        raise ValueError("seqs_a and seqs_b must have the same length")
+    if not seqs_a:
+        return []
+    kernel = _compiled_kernel()
+    if kernel is None or not fits_kernel(scoring, config.xdrop, config.band,
+                                         config.max_rows,
+                                         max(s.size for s in seqs_a)):
+        return _batched_extend_numpy(seqs_a, seqs_b, scoring, config)
+    return kernel.extend(seqs_a, seqs_b, scoring, config.xdrop, config.band,
+                         config.max_rows)
+
+
+def _batched_extend_numpy(
+    seqs_a: list[np.ndarray],
+    seqs_b: list[np.ndarray],
+    scoring: ScoringScheme,
+    config: BatchedExtensionConfig,
+) -> list[ExtensionResult]:
+    """The NumPy kernel: every task advances one band row per iteration.
+
+    The oracle of the compiled kernel and its fallback; same contract as
+    :func:`batched_extend`.
     """
     n_tasks = len(seqs_a)
     if n_tasks != len(seqs_b):
@@ -132,8 +201,10 @@ def batched_extend(
     best_j = np.zeros(n_tasks, dtype=np.int64)
     cells = np.zeros(n_tasks, dtype=np.int64)
 
-    # Active working set (compacted periodically).
-    active = np.arange(n_tasks)
+    # Active working set (compacted periodically).  A task with an empty
+    # ``a`` has no row to fill and never enters it, so it costs 0 cells
+    # whatever else shares its batch.
+    active = np.flatnonzero(len_a > 0)
 
     # Row 0 of the band: cell (0, j) has score gap * j for j in [0, half],
     # -inf for j outside b or left of the band.

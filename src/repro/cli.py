@@ -30,6 +30,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from repro.align.batched_xdrop import kernel_implementation
 from repro.bench import experiments as exp
 from repro.bench.reporting import format_table
 from repro.core.config import PipelineConfig
@@ -311,6 +312,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"input: {source} ({len(reads)} reads, {reads.total_bases} bases)")
     for key, value in result.summary().items():
         print(f"  {key}: {value}")
+    print(f"  kernel: {kernel_implementation()}")
     if args.overlaps_out:
         table = result.alignment_table()
         with open(args.overlaps_out, "w", encoding="ascii") as fh:
@@ -372,6 +374,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"index_build_runs={counters.get('index_build_runs', 0)})")
     for key, value in service.latency_stats().items():
         print(f"  {key}: {value:.4f}")
+    print(f"  kernel: {kernel_implementation()}")
     if args.pool_stats:
         _print_pool_stats()
     return 0
@@ -390,6 +393,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     print(f"  alignments: {counters.get('accepted_alignments', 0)}")
     print(f"  overlap_pairs: {counters.get('overlap_pairs', 0)}")
     print(f"  wall_seconds: {record.wall_seconds:.3f}")
+    print(f"  kernel: {kernel_implementation()}")
     if args.overlaps_out:
         table = record.result.alignment_table()
         n_index = len(index_reads)

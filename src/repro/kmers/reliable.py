@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats
-
 
 def probability_correct_kmer(error_rate: float, k: int) -> float:
     """Probability that a single k-mer is sequenced with no errors: (1-e)^k."""
@@ -108,9 +106,34 @@ def high_frequency_threshold(
         raise ValueError("tail_probability must be in (0, 1)")
     mean_count = coverage * probability_correct_kmer(error_rate, k)
     mean_count = max(mean_count, 1e-6)
-    quantile = stats.poisson.ppf(1.0 - tail_probability, mean_count)
+    quantile = poisson_quantile(1.0 - tail_probability, mean_count)
     m = int(math.ceil(repeat_margin * max(quantile, 2.0)))
     return max(m, 4)
+
+
+def poisson_quantile(q: float, mean: float) -> int:
+    """Smallest k with ``P(X <= k) >= q`` for ``X ~ Poisson(mean)``.
+
+    Walks the pmf upwards from k = 0, computing each term in log space
+    (``k log(mean) - mean - log k!``), so it stays exact where
+    ``exp(-mean)`` alone would underflow.  Agrees with
+    ``scipy.stats.poisson.ppf`` (pinned by a table in the tests).
+    """
+    if not (0.0 < q < 1.0):
+        raise ValueError("q must be in (0, 1)")
+    if not mean > 0.0:
+        raise ValueError("mean must be positive")
+    log_mean = math.log(mean)
+    cdf = 0.0
+    k = 0
+    while True:
+        term = math.exp(k * log_mean - mean - math.lgamma(k + 1))
+        cdf += term
+        # The second test ends the walk once the remaining upper tail is
+        # below rounding, for q within an ulp or two of 1.
+        if cdf >= q or (k > mean and term <= 1e-17 * cdf):
+            return k
+        k += 1
 
 
 def reliable_range(

@@ -5,17 +5,21 @@ each other by shared k-mers" (§11) — the overlap graph that downstream
 assemblers (Miniasm, HINGE, FALCON) consume.  This module materialises that
 graph as a ``networkx.Graph`` from the pipeline's overlap/alignment output so
 examples and downstream users can run standard graph analyses on it.
+networkx is imported on the first call, so the pipeline and the CLI start
+without it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-import networkx as nx
 import numpy as np
 
 from repro.align.results import AlignmentResult
 from repro.overlap.pairs import OverlapRecord
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def build_overlap_graph(
@@ -43,6 +47,8 @@ def build_overlap_graph(
         Nodes are RIDs; each edge carries ``n_seeds`` and, when alignment
         results are available, ``score`` and ``span``.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     for record in overlaps:
         attrs: dict[str, float | int] = {"n_seeds": record.n_seeds}
@@ -76,6 +82,8 @@ def overlap_graph_summary(graph: nx.Graph) -> dict[str, float]:
             "mean_degree": 0.0,
             "max_degree": 0.0,
         }
+    import networkx as nx
+
     components = list(nx.connected_components(graph))
     largest = max((len(c) for c in components), default=0)
     degrees = np.array([d for _, d in graph.degree()], dtype=np.float64)

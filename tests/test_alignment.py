@@ -17,6 +17,7 @@ from repro.align.batch import (
 from repro.align.batched_xdrop import (
     DEFAULT_XDROP_BAND,
     BatchedExtensionConfig,
+    _batched_extend_numpy,
     batched_extend,
 )
 from repro.align.results import AlignmentResult
@@ -226,6 +227,19 @@ class TestBatchedXdrop:
         res = batched_extend([np.empty(0, dtype=np.uint8)], [encode_sequence("ACG")],
                              ScoringScheme(), BatchedExtensionConfig())
         assert res[0].score == 0
+
+    @pytest.mark.parametrize("kernel", [batched_extend, _batched_extend_numpy])
+    def test_empty_extension_costs_no_cells(self, kernel):
+        # An empty extension is charged nothing, alone or batched with a
+        # longer task, exactly like the scalar kernel.
+        empty = np.empty(0, dtype=np.uint8)
+        other = encode_sequence("ACGTACGTTGCA")
+        config = BatchedExtensionConfig(band=64)
+        alone = kernel([empty], [other], ScoringScheme(), config)[0]
+        batched = kernel([empty, other], [other, other], ScoringScheme(), config)[0]
+        scalar = xdrop_extend(empty, other, ScoringScheme(), xdrop=config.xdrop)
+        assert alone == batched == scalar
+        assert batched.cells == 0
 
     def test_divergent_pairs_terminate_early(self):
         rng = np.random.default_rng(7)

@@ -159,6 +159,24 @@ class TestCli:
         assert lines[0].startswith("rid_a")
         assert len(lines) > 10
 
+    def test_summaries_name_the_kernel(self, tmp_path, capsys):
+        # run, serve and query each print which x-drop kernel ran.
+        from repro.align.batched_xdrop import kernel_implementation
+
+        fastq = tmp_path / "reads.fastq"
+        assert main(["simulate", "--preset", "tiny", "--output", str(fastq)]) == 0
+        reads = fastq.read_text().splitlines()
+        index, queries = tmp_path / "index.fastq", tmp_path / "queries.fastq"
+        index.write_text("\n".join(reads[:160]) + "\n")
+        queries.write_text("\n".join(reads[160:200]) + "\n")
+        capsys.readouterr()
+        line = f"  kernel: {kernel_implementation()}"
+        for argv in (["run", "--input", str(fastq), "-k", "15"],
+                     ["serve", "--input", str(fastq), "-k", "15", "--query-batches", "1"],
+                     ["query", "--index", str(index), "--queries", str(queries), "-k", "15"]):
+            assert main(argv) == 0
+            assert line in capsys.readouterr().out.splitlines(), argv[0]
+
     def test_experiment_command_table1(self, capsys):
         assert main(["experiment", "table1"]) == 0
         assert "cori" in capsys.readouterr().out

@@ -1,5 +1,9 @@
 """Unit tests for the BELLA reliable-k-mer model (repro.kmers.reliable)."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.kmers.reliable import (
@@ -8,6 +12,7 @@ from repro.kmers.reliable import (
     expected_singleton_fraction,
     high_frequency_threshold,
     optimal_k,
+    poisson_quantile,
     probability_correct_kmer,
     probability_shared_kmer,
     reliable_range,
@@ -77,6 +82,60 @@ class TestThresholds:
             high_frequency_threshold(0, 0.1, 17)
         with pytest.raises(ValueError):
             high_frequency_threshold(30, 0.1, 17, tail_probability=0.0)
+
+
+#: ``int(scipy.stats.poisson.ppf(1 - tail, mean))`` from scipy 1.17.1, one
+#: row per mean, one column per tail of POISSON_TAILS.
+POISSON_TAILS = (1e-2, 1e-3, 1e-4, 1e-5, 3e-6, 1e-6, 1e-7, 3e-8, 1e-8)
+SCIPY_POISSON_PPF = {
+    1e-06: (0, 0, 0, 0, 0, 0, 1, 1, 1),
+    0.0001: (0, 0, 0, 1, 1, 1, 1, 1, 1),
+    0.01: (0, 1, 1, 2, 2, 2, 3, 3, 3),
+    0.3: (2, 3, 4, 5, 5, 5, 6, 7, 7),
+    1.0: (4, 5, 6, 8, 8, 9, 10, 10, 11),
+    3.7: (9, 11, 13, 14, 15, 16, 17, 18, 19),
+    12.0: (21, 24, 27, 29, 31, 32, 34, 35, 36),
+    41.0: (57, 62, 67, 71, 73, 75, 78, 80, 82),
+    137.0: (165, 175, 183, 190, 193, 196, 202, 205, 208),
+    400.0: (447, 463, 476, 488, 494, 499, 508, 513, 517),
+}
+
+
+class TestPoissonQuantile:
+    @pytest.mark.parametrize("mean", sorted(SCIPY_POISSON_PPF))
+    def test_matches_scipy_table(self, mean):
+        got = tuple(poisson_quantile(1.0 - tail, mean) for tail in POISSON_TAILS)
+        assert got == SCIPY_POISSON_PPF[mean]
+
+    def test_matches_scipy_when_installed(self):
+        stats = pytest.importorskip("scipy.stats")
+        for mean in (1e-6, 0.05, 0.9, 3.4, 17.0, 99.0, 400.0, 1000.0):
+            for tail in (1e-2, 1e-4, 1e-5, 1e-8):
+                expected = int(stats.poisson.ppf(1.0 - tail, mean))
+                assert poisson_quantile(1.0 - tail, mean) == expected, (mean, tail)
+
+    def test_exact_where_exp_of_minus_mean_underflows(self):
+        # exp(-1000) is 0.0 in float64; the log-space walk still finds
+        # scipy's quantiles.
+        assert poisson_quantile(0.5, 1000.0) == 1000
+        assert poisson_quantile(1.0 - 1e-5, 1000.0) == 1138
+
+    def test_validation(self):
+        for q in (0.0, 1.0, -0.1):
+            with pytest.raises(ValueError):
+                poisson_quantile(q, 1.0)
+        with pytest.raises(ValueError):
+            poisson_quantile(0.5, 0.0)
+
+    def test_cli_import_leaves_scipy_out(self):
+        # Neither scipy nor networkx (used only by repro.overlap.graph's
+        # functions) is imported when the CLI starts.
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import repro.cli; "
+                "print('scipy' in sys.modules, 'networkx' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, str(src)],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False False"
 
 
 class TestCardinalityEstimates:
